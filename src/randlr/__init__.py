@@ -9,13 +9,11 @@ predictions empirically.
 
 from .baselines import column_select, truncated_svd
 from .core import (
-    ConvergenceError,
     SingularSpectrum,
     as_matrix,
     derive_seed,
     frobenius_norm,
     gaussian_matrix,
-    matmul,
     pseudoinverse,
     singular_values,
     svd_factors,
@@ -56,7 +54,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ApproximationPlan",
-    "ConvergenceError",
     "FactoredApproximation",
     "GeneratorSpec",
     "MomentCheck",
@@ -79,7 +76,6 @@ __all__ = [
     "gen_signal_plus_noise",
     "generate",
     "load_factored",
-    "matmul",
     "monte_carlo",
     "plan",
     "pseudoinverse",

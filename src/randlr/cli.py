@@ -42,7 +42,7 @@ _BASELINE_ALIASES = {
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
 
 
 def _spectrum_to_dict(spectrum: SingularSpectrum) -> dict:

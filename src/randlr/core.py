@@ -2,33 +2,36 @@
 
 Plain ``numpy.float64`` arrays are the matrix carrier throughout the
 package: 2-D, finite entries only, :func:`as_matrix` being the validating
-constructor.  The decomposition kernels are written in-house so that their
-conventions are pinned down and directly testable:
+constructor.  The decompositions are thin wrappers over LAPACK (through
+``numpy.linalg``) that pin the conventions the rest of the package and
+its tests rely on:
 
-* :func:`thin_qr` -- Householder reflections with the signs chosen so the
-  diagonal of R is non-negative (Q is then unique for full-rank input).
-* :func:`svd_factors` / :func:`singular_values` -- one-sided Jacobi
-  rotations, at most :data:`JACOBI_MAX_SWEEPS` sweeps.
-* :func:`gaussian_matrix` -- Box-Muller transform over the counter-based
-  Philox generator, so every (rows, cols, seed) triple is reproducible and
-  independent substreams can be derived with :func:`derive_seed`.
+* :func:`thin_qr` -- the signs are fixed so the diagonal of R is
+  non-negative (Q is then unique for full-rank input).
+* :func:`svd_factors` / :func:`singular_values` -- values sorted
+  non-increasing; U is orthonormal even for rank-deficient input.
+* :func:`pseudoinverse` -- singular values below ``RANK_TOL * sigma_max``
+  count as zero.
 
-All functions are pure and never mutate their arguments.
+Sampling stays in-house: :func:`gaussian_matrix` applies the Box-Muller
+transform over the counter-based Philox generator, so every (rows, cols,
+seed) triple is reproducible and independent substreams can be derived
+with :func:`derive_seed`.
+
+All functions are pure and never mutate their arguments.  LAPACK failures
+surface as ``numpy.linalg.LinAlgError``, a ``ValueError``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "ConvergenceError",
     "SingularSpectrum",
     "as_matrix",
     "frobenius_norm",
-    "matmul",
     "derive_seed",
     "gaussian_matrix",
     "thin_qr",
@@ -40,18 +43,6 @@ __all__ = [
 
 #: Singular values below RANK_TOL * sigma_max count as zero in pseudoinverse.
 RANK_TOL = 1e-12
-
-#: Hard cap on Jacobi sweeps before giving up.
-JACOBI_MAX_SWEEPS = 60
-
-# A column pair (p, q) counts as orthogonal once |w_p . w_q| falls below
-# this fraction of ||w_p|| * ||w_q||.  Relative to the column norms rather
-# than to the whole matrix, so convergence does not depend on scale.
-_JACOBI_TOL = 1e-14
-
-
-class ConvergenceError(RuntimeError):
-    """Raised when Jacobi sweeps fail to reach the orthogonality threshold."""
 
 
 def as_matrix(values, name: str = "matrix") -> np.ndarray:
@@ -69,13 +60,6 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
 def frobenius_norm(M: np.ndarray) -> float:
     """Square root of the sum of squared entries."""
     return float(np.linalg.norm(M))
-
-
-def matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    if A.shape[1] != B.shape[0]:
-        raise ValueError(f"cannot multiply {A.shape} by {B.shape}")
-    return A @ B
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -112,36 +96,18 @@ def gaussian_matrix(rows: int, cols: int, seed: int) -> np.ndarray:
 
 
 def thin_qr(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Householder QR: Q has M's shape and orthonormal columns, R is upper
+    """Thin QR: Q has M's shape and orthonormal columns, R is upper
     triangular with non-negative diagonal, and Q @ R reconstructs M.
 
-    Requires rows >= cols.  Rank-deficient input still yields an orthonormal
-    Q (the reflectors for vanished columns degenerate to the identity).
+    Requires rows >= cols.  LAPACK's Householder QR leaves the signs of
+    diag(R) arbitrary; flipping the matching columns of Q and rows of R
+    makes Q unique for full-rank input.  Rank-deficient input still yields
+    an orthonormal Q.
     """
     a, b = M.shape
     if a < b:
         raise ValueError(f"thin_qr needs rows >= cols, got {a}x{b}")
-    R = np.array(M, dtype=np.float64)
-    reflectors: list[np.ndarray | None] = []
-    for k in range(b):
-        x = R[k:, k]
-        norm_x = np.linalg.norm(x)
-        if norm_x == 0.0:
-            reflectors.append(None)
-            continue
-        v = x.copy()
-        v[0] += math.copysign(norm_x, x[0])
-        v /= np.linalg.norm(v)
-        R[k:, k:] -= 2.0 * np.outer(v, v @ R[k:, k:])
-        reflectors.append(v)
-
-    Q = np.eye(a, b)
-    for k in range(b - 1, -1, -1):
-        v = reflectors[k]
-        if v is not None:
-            Q[k:, :] -= 2.0 * np.outer(v, v @ Q[k:, :])
-
-    R = np.triu(R[:b, :])
+    Q, R = np.linalg.qr(M)
     flip = np.diag(R) < 0.0
     if flip.any():
         R[flip, :] *= -1.0
@@ -149,100 +115,15 @@ def thin_qr(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return Q, R
 
 
-def _jacobi_sweeps(W: np.ndarray, V: np.ndarray | None) -> None:
-    """Cyclic one-sided Jacobi over row pairs of W (rotations mirrored into V).
-
-    Rows of W play the role of the columns being orthogonalized; row layout
-    keeps every access a contiguous view.  Stops once a full sweep performs
-    no rotation; raises ConvergenceError after JACOBI_MAX_SWEEPS sweeps.
-    W and V are modified in place.
-    """
-    b = W.shape[0]
-    scratch_w = (np.empty(W.shape[1]), np.empty(W.shape[1]))
-    scratch_v = None if V is None else (np.empty(V.shape[1]), np.empty(V.shape[1]))
-    for _ in range(JACOBI_MAX_SWEEPS):
-        # Refreshing the squared norms each sweep stops the O(1) updates
-        # below from accumulating drift.
-        norms2 = np.einsum("ij,ij->i", W, W)
-        rotations = 0
-        for p in range(b - 1):
-            wp = W[p]
-            for q in range(p + 1, b):
-                alpha = norms2[p]
-                beta = norms2[q]
-                if alpha <= 0.0 or beta <= 0.0:
-                    continue
-                wq = W[q]
-                gamma = float(wp @ wq)
-                if abs(gamma) <= _JACOBI_TOL * math.sqrt(alpha * beta):
-                    continue
-                zeta = (beta - alpha) / (2.0 * gamma)
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                _rotate_rows(wp, wq, c, s, scratch_w)
-                if V is not None:
-                    _rotate_rows(V[p], V[q], c, s, scratch_v)
-                # cancellation can push a collapsing norm slightly negative
-                norms2[p] = max(alpha - t * gamma, 0.0)
-                norms2[q] = max(beta + t * gamma, 0.0)
-                rotations += 1
-        if rotations == 0:
-            return
-    raise ConvergenceError(
-        f"one-sided Jacobi did not converge within {JACOBI_MAX_SWEEPS} sweeps"
-    )
-
-
-def _rotate_rows(xp, xq, c, s, scratch) -> None:
-    """In-place plane rotation: (xp, xq) <- (c*xp - s*xq, s*xp + c*xq)."""
-    sp, sq = scratch
-    np.multiply(xp, s, out=sp)
-    np.multiply(xq, s, out=sq)
-    np.multiply(xp, c, out=xp)
-    xp -= sq
-    np.multiply(xq, c, out=xq)
-    xq += sp
-
-
-def _complete_basis(U: np.ndarray, missing: np.ndarray) -> None:
-    """Fill the zero columns of U with unit vectors orthogonal to the rest."""
-    a = U.shape[0]
-    for j in missing:
-        resid = np.eye(a) - U @ U.T
-        k = int(np.argmax(np.einsum("ij,ij->j", resid, resid)))
-        cand = resid[:, k]
-        for _ in range(2):  # twice-is-enough re-orthogonalization
-            cand = cand - U @ (U.T @ cand)
-        U[:, j] = cand / np.linalg.norm(cand)
-
-
 def svd_factors(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thin SVD ``(U, values, Vt)`` with k = min(a, b) columns/rows.
 
     U is a x k and Vt is k x b, both with orthonormal columns/rows; values
-    are sorted non-increasing.  Columns of U belonging to zero singular
-    values are completed to an arbitrary orthonormal set so U is always a
-    valid basis.
+    are sorted non-increasing.  U is a valid orthonormal basis even when M
+    is rank-deficient: LAPACK completes the columns that belong to zero
+    singular values.
     """
-    a, b = M.shape
-    if a < b:
-        U, vals, Vt = svd_factors(M.T)
-        return Vt.T, vals, U.T
-    W = np.array(M.T, dtype=np.float64, order="C")  # row j holds column j of M
-    V = np.eye(b)  # row j holds right singular vector j
-    _jacobi_sweeps(W, V)
-    vals = np.sqrt(np.einsum("ij,ij->i", W, W))
-    order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    W = W[order]
-    V = V[order]
-    U = np.zeros((a, b))
-    positive = vals > 0.0
-    U[:, positive] = (W[positive] / vals[positive, None]).T
-    if not positive.all():
-        _complete_basis(U, np.flatnonzero(~positive))
-    return U, vals, V
+    return np.linalg.svd(M, full_matrices=False)
 
 
 @dataclass(frozen=True)
@@ -281,12 +162,7 @@ class SingularSpectrum:
 
 def singular_values(M: np.ndarray) -> SingularSpectrum:
     """Full singular spectrum of M, length min(a, b), non-increasing."""
-    a, b = M.shape
-    W = np.array(M.T if a >= b else M, dtype=np.float64, order="C")
-    _jacobi_sweeps(W, None)
-    vals = np.sqrt(np.einsum("ij,ij->i", W, W))
-    vals[::-1].sort()
-    return SingularSpectrum(values=vals, source_dims=(a, b))
+    return SingularSpectrum(values=np.linalg.svd(M, compute_uv=False), source_dims=M.shape)
 
 
 def pseudoinverse(M: np.ndarray) -> np.ndarray:

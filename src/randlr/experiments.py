@@ -177,14 +177,16 @@ class TrialReport:
     trial index.  ``std_error`` is the standard error of the mean in the
     mode's comparison units: squared errors under ``squared-consistent``,
     plain errors under ``literal``.  ``bound``/``epsilon``/``fraction
-    _below_epsilon`` live in those same units.
+    _below_epsilon`` live in those same units.  ``mean_error``,
+    ``mean_squared_error`` and ``std_error`` are None when no trial ran
+    (verdict ``not-applicable``).
     """
 
     config: dict
     per_trial_errors: tuple[float, ...]
-    mean_error: float
-    mean_squared_error: float
-    std_error: float
+    mean_error: float | None
+    mean_squared_error: float | None
+    std_error: float | None
     bound: float | None
     epsilon: float | None
     fraction_below_epsilon: float | None
@@ -205,7 +207,7 @@ class TrialReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)
 
 
 def _run_trials(F, r, s, trials, master_seed, workers=1) -> np.ndarray:
@@ -323,7 +325,7 @@ class MomentCheck:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)
 
 
 def verify_gaussian_pinv_moment(r: int, s: int, trials: int, master_seed: int) -> MomentCheck:
@@ -422,9 +424,9 @@ def beat_baseline_experiment(
         return TrialReport(
             config=config,
             per_trial_errors=(),
-            mean_error=math.nan,
-            mean_squared_error=math.nan,
-            std_error=math.nan,
+            mean_error=None,
+            mean_squared_error=None,
+            std_error=None,
             bound=None,
             epsilon=budget,
             fraction_below_epsilon=None,

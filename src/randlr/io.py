@@ -9,8 +9,6 @@ from __future__ import annotations
 import os
 
 import numpy as np
-import scipy.io
-import scipy.sparse
 
 from .core import as_matrix
 
@@ -30,6 +28,11 @@ _MM_PRECISION = 17
 def write_matrix_market(path, M, fmt: str = "array") -> None:
     """Write M in Matrix Market format, either dense ``array`` layout or the
     sparse ``coordinate`` layout (zeros omitted)."""
+    # scipy is imported here, not at module level: only Matrix Market I/O
+    # needs it, and it makes up most of the package's import time
+    import scipy.io
+    import scipy.sparse
+
     M = as_matrix(M)
     if fmt == "coordinate":
         M = scipy.sparse.coo_matrix(M)
@@ -42,6 +45,9 @@ def write_matrix_market(path, M, fmt: str = "array") -> None:
 
 def read_matrix_market(path) -> np.ndarray:
     """Read a Matrix Market file (array or coordinate) as a dense matrix."""
+    import scipy.io
+    import scipy.sparse
+
     M = scipy.io.mmread(path)
     if scipy.sparse.issparse(M):
         M = M.toarray()

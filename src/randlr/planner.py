@@ -103,29 +103,27 @@ def expected_error_bound(r: int, s: int, tau: float) -> float:
 def _least_oversampling(r: int, tau: float, epsilon: float) -> tuple[int | None, bool]:
     """Smallest s >= 2 with ``(1 + r/(s-1)) * tau`` strictly below epsilon.
 
-    Returns (s, bumped) where bumped records that the ceiling formula
-    ``ceil(r*tau/(epsilon-tau) + 1)`` landed on an exact integer, i.e. on
-    the boundary where the bound equals epsilon, and one was added to
-    restore strictness.  Returns (None, False) when no s works.
+    Returns (s, bumped) where bumped records that s - 1 sits exactly on
+    the boundary where the bound equals epsilon, so strictness alone
+    forced the extra unit of oversampling.  Returns (None, False) when no
+    s works.
     """
     if tau == 0.0:
         # Exact-rank input: any oversampling succeeds, take the minimum legal.
         return (2, False) if epsilon > 0.0 else (None, False)
     if epsilon - tau <= FEASIBILITY_MARGIN * epsilon:
         return None, False
-    raw = r * tau / (epsilon - tau) + 1.0
-    s = math.ceil(raw)
-    bumped = s == raw
-    if bumped:
-        s += 1
-    s = max(s, 2)
+    s = max(math.ceil(r * tau / (epsilon - tau) + 1.0), 2)
     # Floating-point repair: the postconditions (strict feasibility,
     # minimality) must hold exactly as tested, not just in real arithmetic.
     while expected_error_bound(r, s, tau) >= epsilon:
         s += 1
     while s > 2 and expected_error_bound(r, s - 1, tau) < epsilon:
         s -= 1
-    return s, bumped
+    # The flag comes from the repaired s, not from the ceiling formula:
+    # the formula's value also rounds to an integer whenever
+    # r*tau/(epsilon-tau) falls below the float resolution at 1.
+    return s, s > 2 and expected_error_bound(r, s - 1, tau) == epsilon
 
 
 def choose_oversampling(r: int, tau: float, epsilon: float, mode: str = MODE_SQUARED) -> int | None:
@@ -181,7 +179,7 @@ class ApproximationPlan:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)
 
 
 def plan(spectrum: SingularSpectrum, r: int, epsilon: float, mode: str = MODE_SQUARED) -> ApproximationPlan:

@@ -148,6 +148,23 @@ def test_beat_svd_baseline_infeasible(capsys, tmp_path):
     assert json.loads(out)["verdict"] == "not-applicable"
 
 
+def test_beat_svd_baseline_report_is_strict_json(capsys, bench_matrix):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    code, out, _ = run_cli(
+        capsys,
+        ["beat", bench_matrix, "--rank", "3", "--baseline", "svd",
+         "--trials", "10", "--seed", "2"],
+    )
+    assert code == 2
+    data = json.loads(out, parse_constant=reject)
+    assert data["verdict"] == "not-applicable"
+    assert data["mean_error"] is None
+    assert data["mean_squared_error"] is None
+    assert data["std_error"] is None
+
+
 def test_gen_spectrum_file(capsys, tmp_path):
     out_path = tmp_path / "gen.mtx"
     code, out, _ = run_cli(

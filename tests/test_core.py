@@ -1,4 +1,4 @@
-"""Kernel tests: norms, products, sampling, QR, SVD, pseudoinverse."""
+"""Kernel tests: norms, sampling, QR, SVD, pseudoinverse."""
 
 import math
 
@@ -11,7 +11,6 @@ from randlr.core import (
     derive_seed,
     frobenius_norm,
     gaussian_matrix,
-    matmul,
     pseudoinverse,
     singular_values,
     svd_factors,
@@ -26,18 +25,6 @@ def manual_frobenius(M):
         for x in row:
             total += float(x) * float(x)
     return math.sqrt(total)
-
-
-def triple_loop_matmul(A, B):
-    """Independent oracle: naive three-loop product."""
-    out = np.zeros((A.shape[0], B.shape[1]))
-    for i in range(A.shape[0]):
-        for j in range(B.shape[1]):
-            acc = 0.0
-            for k in range(A.shape[1]):
-                acc += A[i, k] * B[k, j]
-            out[i, j] = acc
-    return out
 
 
 # --- as_matrix -------------------------------------------------------------
@@ -79,33 +66,6 @@ def test_frobenius_matches_manual_sum():
     for _ in range(5):
         M = rng.standard_normal((6, 9))
         assert frobenius_norm(M) == pytest.approx(manual_frobenius(M), rel=1e-13)
-
-
-# --- matmul ----------------------------------------------------------------
-
-
-def test_matmul_identity():
-    rng = np.random.default_rng(5)
-    A = rng.standard_normal((3, 3))
-    assert np.array_equal(matmul(np.eye(3), A), A)
-
-
-def test_matmul_small_example():
-    A = np.array([[1.0, 2.0], [3.0, 4.0]])
-    B = np.array([[1.0], [1.0]])
-    assert np.array_equal(matmul(A, B), np.array([[3.0], [7.0]]))
-
-
-def test_matmul_matches_triple_loop():
-    rng = np.random.default_rng(17)
-    A = rng.standard_normal((5, 4))
-    B = rng.standard_normal((4, 6))
-    assert np.abs(matmul(A, B) - triple_loop_matmul(A, B)).max() <= 1e-12
-
-
-def test_matmul_dimension_mismatch():
-    with pytest.raises(ValueError):
-        matmul(np.zeros((2, 3)), np.zeros((2, 3)))
 
 
 # --- gaussian_matrix / derive_seed -----------------------------------------

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from randlr.core import frobenius_norm, singular_values
+from randlr.core import SingularSpectrum, frobenius_norm, singular_values
 from randlr.experiments import (
     KIND_PRESCRIBED,
     KIND_SIGNAL_NOISE,
@@ -20,7 +20,7 @@ from randlr.experiments import (
     monte_carlo,
     verify_gaussian_pinv_moment,
 )
-from randlr.planner import tail_energy
+from randlr.planner import plan, tail_energy
 from randlr.rangefinder import METHOD_COLUMN_SELECT, METHOD_TRUNCATED_SVD
 
 
@@ -46,6 +46,26 @@ def test_prescribed_spectrum_matches_request():
     sv = singular_values(F).values
     assert np.abs(sv[:20] - np.asarray(values)).max() <= 1e-8 * values[0]
     assert np.abs(sv[20:]).max() <= 1e-10 * values[0]
+
+
+@pytest.mark.parametrize("dims", [(100, 100), (60, 40)])
+def test_graded_spectrum_tail_energy_and_plan(dims):
+    # Graded spectra are where a kernel's relative accuracy could show:
+    # the computed tail energy must match the requested one at the
+    # planner's tolerances.  Past r = 30 the matrix's own rounding (about
+    # 1e-17 absolute per singular value) dominates the tail, whatever the
+    # kernel, so those ranks are left out.
+    values = 0.5 ** np.arange(1, 41)
+    computed = singular_values(prescribed(dims, tuple(values), seed=1))
+    requested = SingularSpectrum(values=values, source_dims=dims)
+    for r in range(1, 31):
+        tau = tail_energy(values, r)
+        assert tail_energy(computed, r) == pytest.approx(tau, rel=1e-7)
+        # budgets halfway between integer boundaries of the selection rule,
+        # where 1e-15 rounding cannot move the chosen oversampling
+        for k in (2, 5, 11, 40):
+            epsilon = tau * (1.0 + r / (k - 0.5))
+            assert plan(computed, r, epsilon).oversampling == plan(requested, r, epsilon).oversampling
 
 
 def test_prescribed_deterministic():

@@ -143,6 +143,10 @@ def test_plan_worked_example():
     assert not p.strictness_bumped
     assert p.mode == MODE_SQUARED
 
+    # r*tau/(eps - tau) = 1e-20 vanishes next to 1, yet no boundary is hit
+    tiny = plan(SingularSpectrum(values=np.array([1.0, 1e-10]), source_dims=(50, 50)), 1, 1.0)
+    assert tiny.oversampling == 2 and not tiny.strictness_bumped
+
 
 def test_plan_zero_tail():
     spec = SingularSpectrum(values=np.array([4.0, 2.0, 0.0, 0.0]), source_dims=(9, 8))
