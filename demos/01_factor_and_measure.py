@@ -7,6 +7,9 @@ project F onto it (T = H^t F).  The product H @ T is then a rank-(r+s)
 approximation of F.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from randlr import (
@@ -49,7 +52,8 @@ for s in (2, 4, 8, 16):
 
 # The factored form round-trips through Matrix Market files plus a JSON
 # sidecar with the metadata.
-paths = save_factored("/tmp/randlr_demo", approx)
-back = load_factored("/tmp/randlr_demo")
-print("\nserialized to:", ", ".join(paths))
+with tempfile.TemporaryDirectory() as tmp:
+    paths = save_factored(Path(tmp) / "randlr_demo", approx)
+    back = load_factored(Path(tmp) / "randlr_demo")
+print("\nserialized to:", ", ".join(Path(p).name for p in paths))
 print("round-trip exact:", bool(np.array_equal(back.basis, approx.basis)))

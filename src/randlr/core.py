@@ -126,6 +126,15 @@ def svd_factors(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.linalg.svd(M, full_matrices=False)
 
 
+def _sum_of_squares(values: np.ndarray) -> float:
+    """Sum of squared entries; ValueError when it overflows float64 (an entry past ~1e154)."""
+    with np.errstate(over="ignore"):
+        total = float(np.sum(values**2))
+    if not np.isfinite(total):
+        raise ValueError("squared norm overflows float64; rescale the input")
+    return total
+
+
 @dataclass(frozen=True)
 class SingularSpectrum:
     """Non-increasing, non-negative singular values plus their source shape.
@@ -157,7 +166,7 @@ class SingularSpectrum:
 
     def total_energy(self) -> float:
         """Sum of squared singular values (= squared Frobenius norm)."""
-        return float(np.sum(self.values**2))
+        return _sum_of_squares(self.values)
 
 
 def singular_values(M: np.ndarray) -> SingularSpectrum:

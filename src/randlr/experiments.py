@@ -21,13 +21,11 @@ from .core import (
     derive_seed,
     frobenius_norm,
     gaussian_matrix,
-    pseudoinverse,
     singular_values,
 )
 from .planner import (
     MODE_SQUARED,
     MODES,
-    ApproximationPlan,
     effective_tail_energy,
     expected_error_bound,
     plan,
@@ -70,12 +68,8 @@ BASELINES = {
     METHOD_COLUMN_SELECT: column_select,
 }
 
-# A budget within this relative distance of the tail energy counts as
-# sitting on the optimal-error floor.  The budget and the tail energy are
-# measured by two independent numerical routes that agree only to roughly
-# 1e-12 relative, so the planner's own (much tighter) feasibility margin
-# cannot distinguish "at the floor" from rounding noise here.
-FLOOR_GUARD = 1e-8
+# Entries per batched SVD in the moment check (8 MB), whatever the trial count.
+MOMENT_CHUNK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -232,13 +226,33 @@ def _run_trials(F, r, s, trials, master_seed, workers=1) -> np.ndarray:
     return np.asarray(errors)
 
 
-def _comparison_stats(errors: np.ndarray, mode: str) -> tuple[np.ndarray, float, float]:
-    """Per-trial values, their mean, and the standard error of that mean in
-    the mode's comparison units."""
+def _check_trial_args(F: np.ndarray, r: int, trials: int, mode: str) -> None:
+    """Reject a bad rank, trial count or mode before any decomposition."""
+    if r < 1 or r > min(F.shape):
+        raise ValueError(f"target rank {r} out of range for {F.shape[0]}x{F.shape[1]}")
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+
+
+def _trial_report(config, errors, mode, bound, epsilon, accept) -> TrialReport:
+    """Report on per-trial errors; ``accept(mean, se)`` is the caller's verdict
+    rule, applied in the mode's comparison units."""
     comp = errors**2 if mode == MODE_SQUARED else errors
     mean = float(comp.mean())
     se = float(comp.std(ddof=1) / math.sqrt(len(comp))) if len(comp) > 1 else 0.0
-    return comp, mean, se
+    return TrialReport(
+        config=config,
+        per_trial_errors=tuple(float(e) for e in errors),
+        mean_error=float(errors.mean()),
+        mean_squared_error=float((errors**2).mean()),
+        std_error=se,
+        bound=bound,
+        epsilon=epsilon,
+        fraction_below_epsilon=None if epsilon is None else float(np.mean(comp < epsilon)),
+        verdict=VERDICT_SATISFIED if accept(mean, se) else VERDICT_VIOLATED,
+    )
 
 
 def monte_carlo(
@@ -258,20 +272,25 @@ def monte_carlo(
     expectation, so the empirical mean may exceed it only by sampling
     noise.  A measurement floor at the numerical-rank tolerance keeps the
     verdict meaningful when both sides are rounding dust (exact-rank
-    input, where bound and errors are mathematically zero).
+    input, where bound and errors are mathematically zero).  A tail that
+    :func:`effective_tail_energy` snaps to 0 still counts in that floor,
+    so the snap lowers the reported ``tail_energy`` and ``bound`` but
+    never turns a satisfied verdict into a violated one.
     """
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    tau = tail_energy(singular_values(F), r)
+    _check_trial_args(F, r, trials, mode)
+    if s < 2:
+        raise ValueError(f"oversampling must be at least 2, got {s}")
+    spectrum = singular_values(F)
+    tau = effective_tail_energy(spectrum, r)
     bound = expected_error_bound(r, s, tau)
     errors = _run_trials(F, r, s, trials, master_seed, workers)
-    comp, mean_comp, se = _comparison_stats(errors, mode)
+    # Slack, not a floor rule (that is plan's): rounding dust in the errors,
+    # plus the bound on any tail the snap to 0 removed, which can exceed the
+    # dust by up to sqrt(min(F.shape)).
     meas_floor = RANK_TOL * frobenius_norm(F)
     if mode == MODE_SQUARED:
         meas_floor **= 2
-    verdict = VERDICT_SATISFIED if mean_comp <= bound + 3.0 * se + meas_floor else VERDICT_VIOLATED
+    meas_floor += expected_error_bound(r, s, tail_energy(spectrum, r) - tau)
     config = {
         "kind": "bench",
         "dims": [int(F.shape[0]), int(F.shape[1])],
@@ -284,16 +303,8 @@ def monte_carlo(
         "tail_energy": tau,
         "fallback": bool(r + s >= min(F.shape)),
     }
-    return TrialReport(
-        config=config,
-        per_trial_errors=tuple(float(e) for e in errors),
-        mean_error=float(errors.mean()),
-        mean_squared_error=float((errors**2).mean()),
-        std_error=se,
-        bound=bound,
-        epsilon=epsilon,
-        fraction_below_epsilon=None if epsilon is None else float(np.mean(comp < epsilon)),
-        verdict=verdict,
+    return _trial_report(
+        config, errors, mode, bound, epsilon, lambda mean, se: mean <= bound + 3.0 * se + meas_floor
     )
 
 
@@ -328,6 +339,21 @@ class MomentCheck:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)
 
 
+def _pinv_energies(r: int, s: int, trials: int, master_seed: int) -> np.ndarray:
+    """``||pinv(G_i)||_F^2`` for the r x (r+s) Gaussians G_i seeded by
+    ``derive_seed(master_seed, i)``: the sum of 1/sigma^2 over the singular
+    values above ``RANK_TOL * sigma_max``, from one batched SVD per chunk."""
+    step = max(1, MOMENT_CHUNK_ENTRIES // (r * (r + s)))
+    samples = np.empty(trials)
+    for lo in range(0, trials, step):
+        hi = min(lo + step, trials)
+        draws = np.stack([gaussian_matrix(r, r + s, derive_seed(master_seed, i)) for i in range(lo, hi)])
+        sv = np.linalg.svd(draws, compute_uv=False)
+        inv2 = np.divide(1.0, sv**2, out=np.zeros_like(sv), where=sv > RANK_TOL * sv[:, :1])
+        samples[lo:hi] = inv2.sum(axis=1)
+    return samples
+
+
 def verify_gaussian_pinv_moment(r: int, s: int, trials: int, master_seed: int) -> MomentCheck:
     """Estimate E||pinv(G)||_F^2 over seeded draws of r x (r+s) Gaussians.
 
@@ -340,10 +366,7 @@ def verify_gaussian_pinv_moment(r: int, s: int, trials: int, master_seed: int) -
         raise ValueError(f"oversampling must be at least 2, got {s}")
     if trials < 2:
         raise ValueError(f"need at least two trials for a standard error, got {trials}")
-    samples = np.empty(trials)
-    for i in range(trials):
-        G = gaussian_matrix(r, r + s, derive_seed(master_seed, i))
-        samples[i] = frobenius_norm(pseudoinverse(G)) ** 2
+    samples = _pinv_energies(r, s, trials, master_seed)
     estimate = float(samples.mean())
     se = float(samples.std(ddof=1) / math.sqrt(trials))
     expected = r / (s - 1.0)
@@ -379,16 +402,12 @@ def beat_baseline_experiment(
     """
     if baseline not in BASELINES:
         raise ValueError(f"unknown baseline {baseline!r}, expected one of {sorted(BASELINES)}")
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    base = BASELINES[baseline](F, r)
-    base_err = approximation_error(F, base)
+    _check_trial_args(F, r, trials, mode)
     spectrum = singular_values(F)
-    tau = effective_tail_energy(spectrum, r)
+    tau = effective_tail_energy(spectrum, r)  # rejects an overflowing input before the baseline's norm
+    base_err = approximation_error(F, BASELINES[baseline](F, r))
     budget = base_err**2 if mode == MODE_SQUARED else base_err
-
+    chosen = plan(spectrum, r, budget, mode)
     config = {
         "kind": "beat",
         "dims": [int(F.shape[0]), int(F.shape[1])],
@@ -400,25 +419,9 @@ def beat_baseline_experiment(
         "mode": mode,
         "seed_mix": SEED_MIX,
         "tail_energy": tau,
+        "plan": chosen.to_dict(),
     }
-
-    if budget <= tau * (1.0 + FLOOR_GUARD):
-        chosen = ApproximationPlan(
-            target_rank=r,
-            oversampling=None,
-            tail_energy=tau,
-            error_budget=budget,
-            predicted_bound=None,
-            mode=mode,
-            fallback=False,
-            feasible=False,
-            strictness_bumped=False,
-            reason="budget at Eckart-Young floor",
-        )
-    else:
-        chosen = plan(spectrum, r, budget, mode)
     if not chosen.feasible:
-        config["plan"] = chosen.to_dict()
         config["trials"] = 0
         config["trials_requested"] = int(trials)
         return TrialReport(
@@ -433,18 +436,6 @@ def beat_baseline_experiment(
             verdict=VERDICT_NOT_APPLICABLE,
         )
 
-    config["plan"] = chosen.to_dict()
     config["oversampling"] = chosen.oversampling
     errors = _run_trials(F, r, chosen.oversampling, trials, master_seed, workers)
-    comp, mean_comp, se = _comparison_stats(errors, mode)
-    return TrialReport(
-        config=config,
-        per_trial_errors=tuple(float(e) for e in errors),
-        mean_error=float(errors.mean()),
-        mean_squared_error=float((errors**2).mean()),
-        std_error=se,
-        bound=chosen.predicted_bound,
-        epsilon=budget,
-        fraction_below_epsilon=float(np.mean(comp < budget)),
-        verdict=VERDICT_SATISFIED if mean_comp < budget else VERDICT_VIOLATED,
-    )
+    return _trial_report(config, errors, mode, chosen.predicted_bound, budget, lambda mean, se: mean < budget)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RANK_TOL, SingularSpectrum
+from .core import RANK_TOL, SingularSpectrum, _sum_of_squares
 
 __all__ = [
     "MODE_SQUARED",
@@ -45,10 +45,14 @@ MODE_SQUARED = "squared-consistent"
 MODE_LITERAL = "literal"
 MODES = (MODE_SQUARED, MODE_LITERAL)
 
-# epsilon - tau must exceed this fraction of epsilon to count as feasible;
-# otherwise rounding noise near the optimal-error floor would produce
-# astronomically large oversampling values.
+# The ceiling formula's arithmetic guard, not a floor rule: below this gap
+# epsilon - tau is rounding noise and would give astronomical oversampling.
 FEASIBILITY_MARGIN = 1e-12
+
+# The one floor rule (see plan): a budget within this relative distance of
+# tau sits on the optimal-error floor, because a budget and a tail energy
+# from two numerical routes agree only to ~1e-12 relative.
+FLOOR_RTOL = 1e-8
 
 INFEASIBLE_REASON = "below Eckart-Young floor"
 
@@ -68,7 +72,7 @@ def tail_energy(spectrum, r: int) -> float:
     if r < 0:
         raise ValueError(f"rank must be non-negative, got {r}")
     vals = spectrum.values if isinstance(spectrum, SingularSpectrum) else np.asarray(spectrum, dtype=np.float64)
-    return float(np.sum(vals[r:] ** 2))
+    return _sum_of_squares(vals[r:])
 
 
 def effective_tail_energy(spectrum: SingularSpectrum, r: int) -> float:
@@ -80,8 +84,8 @@ def effective_tail_energy(spectrum: SingularSpectrum, r: int) -> float:
     """
     tau = tail_energy(spectrum, r)
     if len(spectrum.values) and spectrum.values[0] > 0.0:
-        noise_floor = (RANK_TOL * float(spectrum.values[0])) ** 2 * len(spectrum)
-        if tau <= noise_floor:
+        # In norm units: squaring RANK_TOL * sigma_max overflows past sigma_max ~1e166.
+        if math.sqrt(tau / len(spectrum)) <= RANK_TOL * spectrum.values[0]:
             return 0.0
     return tau
 
@@ -185,36 +189,26 @@ class ApproximationPlan:
 def plan(spectrum: SingularSpectrum, r: int, epsilon: float, mode: str = MODE_SQUARED) -> ApproximationPlan:
     """Compose tail energy, oversampling selection, and the bound.
 
-    Infeasible budgets produce a plan with ``feasible=False`` and a reason
-    instead of raising; degenerate spectra (all zeros, short tails) are
-    handled through the tau = 0 special case.
+    A budget at or below ``tau * (1 + FLOOR_RTOL)``, the optimal-error
+    floor, produces a plan with ``feasible=False`` and a reason instead of
+    raising; degenerate spectra (all zeros, short tails) are handled
+    through the tau = 0 special case.
     """
     _check_mode(mode)
     if r < 1 or r > len(spectrum):
         raise ValueError(f"rank {r} out of range for spectrum of length {len(spectrum)}")
     tau = effective_tail_energy(spectrum, r)
-    s, bumped = _least_oversampling(r, tau, epsilon)
-    if s is None:
-        return ApproximationPlan(
-            target_rank=r,
-            oversampling=None,
-            tail_energy=tau,
-            error_budget=epsilon,
-            predicted_bound=None,
-            mode=mode,
-            fallback=False,
-            feasible=False,
-            strictness_bumped=False,
-            reason=INFEASIBLE_REASON,
-        )
+    s, bumped = (None, False) if epsilon <= tau * (1.0 + FLOOR_RTOL) else _least_oversampling(r, tau, epsilon)
+    feasible = s is not None
     return ApproximationPlan(
         target_rank=r,
         oversampling=s,
         tail_energy=tau,
         error_budget=epsilon,
-        predicted_bound=expected_error_bound(r, s, tau),
+        predicted_bound=expected_error_bound(r, s, tau) if feasible else None,
         mode=mode,
-        fallback=r + s >= min(spectrum.source_dims),
-        feasible=True,
+        fallback=feasible and r + s >= min(spectrum.source_dims),
+        feasible=feasible,
         strictness_bumped=bumped,
+        reason=None if feasible else INFEASIBLE_REASON,
     )

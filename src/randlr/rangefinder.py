@@ -169,6 +169,8 @@ def load_factored(prefix) -> FactoredApproximation:
     prefix = str(prefix)
     with open(prefix + ".json") as fh:
         sidecar = json.load(fh)
+    if sidecar.get("schema_version") != 1:
+        raise ValueError(f"unsupported schema_version in {prefix}.json: {sidecar.get('schema_version')!r}")
     return FactoredApproximation(
         basis=read_matrix_market(prefix + "_H.mtx"),
         coeffs=read_matrix_market(prefix + "_T.mtx"),

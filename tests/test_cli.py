@@ -1,6 +1,7 @@
 """CLI surface tests: subcommands, JSON contracts, exit codes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -205,6 +206,45 @@ def test_moment_command(capsys):
     data = json.loads(out)
     assert data["expected"] == pytest.approx(2 / 5)
     assert data["passed"] is True
+
+
+def test_bench_snapped_tail_still_counts_in_the_verdict(capsys, tmp_path):
+    # A 5e-12 noise tail (~2.4e-23 squared) sits under the rank cutoff, so
+    # tail_energy reads 0, yet the trials' squared errors still carry it.
+    mat = str(tmp_path / "dust.mtx")
+    code, _, _ = run_cli(
+        capsys,
+        ["gen", "signal-noise", "--dims", "100", "100", "--signal-rank", "2",
+         "--noise-level", "5e-12", "--seed", "0", "--out", mat],
+    )
+    assert code == 0
+    code, out, _ = run_cli(
+        capsys,
+        ["bench", mat, "--rank", "2", "--oversample", "3", "--trials", "20", "--seed", "7"],
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["config"]["tail_energy"] == 0.0
+    assert data["mean_squared_error"] > 1e-23
+    assert data["verdict"] == "bound-satisfied"
+
+
+def test_overflowing_input_is_one_error_line(capsys, tmp_path):
+    path = str(tmp_path / "huge.mtx")
+    write_matrix_market(path, 1e160 * np.random.default_rng(3).standard_normal((20, 15)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+        for argv in (["plan", path, "--rank", "2", "--epsilon", "1e300"],
+                     ["bench", path, "--rank", "2", "--oversample", "3", "--trials", "3", "--seed", "1"],
+                     ["beat", path, "--rank", "2", "--baseline", "colsel", "--trials", "3", "--seed", "1"],
+                     ["beat", path, "--rank", "2", "--baseline", "svd", "--trials", "3", "--seed", "1"]):
+            code, out, err = run_cli(capsys, argv)
+            assert code == 1 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "overflows float64" in err
+        code, out, _ = run_cli(capsys, ["spectrum", path])
+    assert code == 0
+    assert json.loads(out)["values"][0] > 1e160
 
 
 def test_missing_file_is_error(capsys):

@@ -6,7 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from randlr.core import SingularSpectrum, frobenius_norm, singular_values
+import randlr.experiments
+from randlr.core import (
+    SingularSpectrum,
+    derive_seed,
+    frobenius_norm,
+    gaussian_matrix,
+    pseudoinverse,
+    singular_values,
+)
 from randlr.experiments import (
     KIND_PRESCRIBED,
     KIND_SIGNAL_NOISE,
@@ -20,7 +28,7 @@ from randlr.experiments import (
     monte_carlo,
     verify_gaussian_pinv_moment,
 )
-from randlr.planner import plan, tail_energy
+from randlr.planner import INFEASIBLE_REASON, plan, tail_energy
 from randlr.rangefinder import METHOD_COLUMN_SELECT, METHOD_TRUNCATED_SVD
 
 
@@ -213,6 +221,29 @@ def test_monte_carlo_validates():
         monte_carlo(F, 1, 2, 5, master_seed=1, mode="bogus")
 
 
+def test_monte_carlo_validates_before_decomposing(monkeypatch):
+    def no_svd(_):
+        raise AssertionError("singular_values called before validation")
+
+    monkeypatch.setattr(randlr.experiments, "singular_values", no_svd)
+    F = np.eye(6)
+    for r, s, trials, mode in [(1, 1, 5, "literal"), (0, 2, 5, "literal"), (7, 2, 5, "literal"),
+                               (1, 2, 0, "literal"), (1, 2, 5, "bogus")]:
+        with pytest.raises(ValueError):
+            monte_carlo(F, r, s, trials, master_seed=1, mode=mode)
+    with pytest.raises(ValueError):
+        beat_baseline_experiment(F, 7, METHOD_COLUMN_SELECT, 5, master_seed=1)
+
+
+def test_bench_plan_and_beat_report_the_same_tau():
+    # exact rank: the raw tail is rounding dust, which plan snaps to zero
+    F = prescribed((30, 24), (1.0,) * 4, seed=2)
+    tau = plan(singular_values(F), 4, 1.0).tail_energy
+    assert tau == 0.0
+    assert monte_carlo(F, 4, 2, 3, master_seed=5).config["tail_energy"] == tau
+    assert beat_baseline_experiment(F, 4, METHOD_COLUMN_SELECT, 3, master_seed=5).config["tail_energy"] == tau
+
+
 # --- pseudoinverse moment --------------------------------------------------------
 
 
@@ -231,6 +262,20 @@ def test_moment_deterministic():
     a = verify_gaussian_pinv_moment(3, 4, 50, master_seed=2)
     b = verify_gaussian_pinv_moment(3, 4, 50, master_seed=2)
     assert a == b
+
+
+@pytest.mark.parametrize("r,s", [(3, 3), (10, 11)])
+def test_moment_samples_match_pseudoinverse(r, s):
+    samples = randlr.experiments._pinv_energies(r, s, 200, master_seed=8)
+    for i, sample in enumerate(samples):
+        G = gaussian_matrix(r, r + s, derive_seed(8, i))
+        assert sample == pytest.approx(frobenius_norm(pseudoinverse(G)) ** 2, rel=1e-12)
+
+
+def test_moment_chunks_do_not_change_samples(monkeypatch):
+    whole = randlr.experiments._pinv_energies(2, 3, 25, master_seed=4)
+    monkeypatch.setattr(randlr.experiments, "MOMENT_CHUNK_ENTRIES", 7 * 2 * 5)  # 7 draws per chunk
+    assert np.array_equal(randlr.experiments._pinv_energies(2, 3, 25, master_seed=4), whole)
 
 
 def test_moment_validates():
@@ -266,6 +311,7 @@ def test_beat_optimal_baseline_reports_infeasible():
     assert rep.config["trials"] == 0
     assert rep.config["trials_requested"] == 50
     assert rep.epsilon is not None
+    assert rep.config["plan"]["reason"] == INFEASIBLE_REASON
 
 
 def test_beat_exact_rank_input_plans_minimal_oversampling():

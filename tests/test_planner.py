@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randlr.core import SingularSpectrum
+from randlr.core import SingularSpectrum, singular_values
 from randlr.planner import (
+    FLOOR_RTOL,
     INFEASIBLE_REASON,
     MODE_LITERAL,
     MODE_SQUARED,
@@ -161,6 +162,37 @@ def test_plan_infeasible_has_reason():
     assert p.oversampling is None and p.predicted_bound is None
     assert p.reason == INFEASIBLE_REASON
     assert p.tail_energy == pytest.approx(5.0)
+
+
+def test_plan_floor_rule_is_relative_to_tau():
+    spec = SingularSpectrum(values=np.array([3.0, 2.0, 1.0]), source_dims=(5, 5))
+    at_floor = plan(spec, 1, 5.0 * (1.0 + 0.1 * FLOOR_RTOL))
+    assert not at_floor.feasible and at_floor.reason == INFEASIBLE_REASON
+    above = plan(spec, 1, 5.0 * (1.0 + 10.0 * FLOOR_RTOL))
+    assert above.feasible and above.predicted_bound < above.error_budget
+
+
+def test_tail_energy_overflow_is_value_error():
+    spec = SingularSpectrum(values=np.array([1e160, 1e159, 1e158]), source_dims=(3, 3))
+    for energy in (lambda: tail_energy(spec, 0), spec.total_energy, lambda: plan(spec, 1, 1.0)):
+        with pytest.raises(ValueError, match="overflows float64"):
+            energy()
+    # a finite tail under a huge leading value still plans: the noise-floor
+    # comparison must not overflow either
+    p = plan(SingularSpectrum(values=np.array([1e167, 1e140]), source_dims=(4, 4)), 1, 1e300)
+    assert p.feasible and p.tail_energy == 0.0
+
+
+_GAUSSIAN_20x15 = np.random.default_rng(2024).standard_normal((20, 15))
+
+
+@settings(max_examples=60, deadline=None)
+@given(exponent=st.floats(min_value=-150.0, max_value=150.0), r=st.integers(1, 14))
+def test_plan_tau_scales_with_input_squared(exponent, r):
+    scale = 10.0**exponent
+    tau = plan(singular_values(_GAUSSIAN_20x15), r, 1.0).tail_energy
+    scaled = plan(singular_values(scale * _GAUSSIAN_20x15), r, 1.0).tail_energy
+    assert scaled == pytest.approx(tau * scale**2, rel=1e-12)
 
 
 def test_plan_snaps_rounding_dust_tail():

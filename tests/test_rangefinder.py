@@ -237,6 +237,15 @@ def test_save_load_roundtrip(tmp_path):
     assert back.method == fa.method
 
 
+def test_load_rejects_unknown_schema_version(tmp_path):
+    prefix = tmp_path / "approx"
+    save_factored(prefix, factorize(np.random.default_rng(61).standard_normal((16, 12)), 3, 3, 5))
+    sidecar = tmp_path / "approx.json"
+    sidecar.write_text(sidecar.read_text().replace('"schema_version": 1', '"schema_version": 2'))
+    with pytest.raises(ValueError, match="schema_version"):
+        load_factored(prefix)
+
+
 # --- statistical invariants -----------------------------------------------------------
 
 
