@@ -4,8 +4,8 @@
 The expected squared error of the randomized factorization at target rank
 r with oversampling s is bounded by (1 + r/(s-1)) * tau, where tau is the
 tail energy: the sum of squared singular values past index r, and also the
-squared error of the best possible rank-r approximation.  Inverting the
-bound gives the least s whose guarantee beats a budget epsilon.
+squared error of the best possible rank-r approximation.  The planner
+searches for the least s whose guarantee beats a budget epsilon.
 """
 
 import numpy as np
@@ -40,5 +40,5 @@ for epsilon in (4.0, 1.7, 1.0):
 
 # choose_oversampling is the bare selection rule when tau is already known.
 print("\nbare rule: r=10, tau=1, epsilon=2 ->", choose_oversampling(10, 1.0, 2.0))
-print("(the formula lands exactly on the boundary where the bound equals")
-print(" epsilon, so the strictness repair adds one)")
+print("(the bound equals epsilon exactly at s = 11, and s is the least value")
+print(" whose computed bound is strictly below epsilon, so it is 12)")

@@ -19,7 +19,6 @@ from .core import (
     RANK_TOL,
     SEED_MIX,
     derive_seed,
-    frobenius_norm,
     gaussian_matrix,
     singular_values,
 )
@@ -241,7 +240,12 @@ def _trial_report(config, errors, mode, bound, epsilon, accept) -> TrialReport:
     rule, applied in the mode's comparison units."""
     comp = errors**2 if mode == MODE_SQUARED else errors
     mean = float(comp.mean())
-    se = float(comp.std(ddof=1) / math.sqrt(len(comp))) if len(comp) > 1 else 0.0
+    se = 0.0
+    if len(comp) > 1:
+        # Scaling by a power of two is exact, and keeps the squared deviations
+        # from overflowing or underflowing at extreme input scales.
+        shift = math.frexp(comp.max())[1]
+        se = float(np.ldexp(np.ldexp(comp, -shift).std(ddof=1), shift) / math.sqrt(len(comp)))
     return TrialReport(
         config=config,
         per_trial_errors=tuple(float(e) for e in errors),
@@ -272,10 +276,11 @@ def monte_carlo(
     expectation, so the empirical mean may exceed it only by sampling
     noise.  A measurement floor at the numerical-rank tolerance keeps the
     verdict meaningful when both sides are rounding dust (exact-rank
-    input, where bound and errors are mathematically zero).  A tail that
-    :func:`effective_tail_energy` snaps to 0 still counts in that floor,
-    so the snap lowers the reported ``tail_energy`` and ``bound`` but
-    never turns a satisfied verdict into a violated one.
+    input, where bound and errors are mathematically zero).  The verdict
+    uses the bound on the raw tail, so a tail that
+    :func:`effective_tail_energy` snaps to 0 lowers the reported
+    ``tail_energy`` and ``bound`` but never turns a satisfied verdict into
+    a violated one.
     """
     _check_trial_args(F, r, trials, mode)
     if s < 2:
@@ -283,14 +288,16 @@ def monte_carlo(
     spectrum = singular_values(F)
     tau = effective_tail_energy(spectrum, r)
     bound = expected_error_bound(r, s, tau)
-    errors = _run_trials(F, r, s, trials, master_seed, workers)
-    # Slack, not a floor rule (that is plan's): rounding dust in the errors,
-    # plus the bound on any tail the snap to 0 removed, which can exceed the
-    # dust by up to sqrt(min(F.shape)).
-    meas_floor = RANK_TOL * frobenius_norm(F)
+    # The verdict checks the bound on the raw tail: a tail the snap to 0
+    # removed still shows in the errors, at up to sqrt(min(F.shape)) times
+    # the rounding dust.  meas_floor is slack for that dust, not a floor
+    # rule (that is plan's); total_energy rejects an input whose squared
+    # norm overflows, where the slack would be infinite.
+    raw_bound = expected_error_bound(r, s, tail_energy(spectrum, r))
+    meas_floor = RANK_TOL * math.sqrt(spectrum.total_energy())
     if mode == MODE_SQUARED:
         meas_floor **= 2
-    meas_floor += expected_error_bound(r, s, tail_energy(spectrum, r) - tau)
+    errors = _run_trials(F, r, s, trials, master_seed, workers)
     config = {
         "kind": "bench",
         "dims": [int(F.shape[0]), int(F.shape[1])],
@@ -304,7 +311,7 @@ def monte_carlo(
         "fallback": bool(r + s >= min(F.shape)),
     }
     return _trial_report(
-        config, errors, mode, bound, epsilon, lambda mean, se: mean <= bound + 3.0 * se + meas_floor
+        config, errors, mode, bound, epsilon, lambda mean, se: mean <= raw_bound + 3.0 * se + meas_floor
     )
 
 

@@ -45,7 +45,7 @@ MODE_SQUARED = "squared-consistent"
 MODE_LITERAL = "literal"
 MODES = (MODE_SQUARED, MODE_LITERAL)
 
-# The ceiling formula's arithmetic guard, not a floor rule: below this gap
+# choose_oversampling's arithmetic guard, not a floor rule: below this gap
 # epsilon - tau is rounding noise and would give astronomical oversampling.
 FEASIBILITY_MARGIN = 1e-12
 
@@ -104,34 +104,9 @@ def expected_error_bound(r: int, s: int, tau: float) -> float:
     return (1.0 + r / (s - 1.0)) * tau
 
 
-def _least_oversampling(r: int, tau: float, epsilon: float) -> tuple[int | None, bool]:
-    """Smallest s >= 2 with ``(1 + r/(s-1)) * tau`` strictly below epsilon.
-
-    Returns (s, bumped) where bumped records that s - 1 sits exactly on
-    the boundary where the bound equals epsilon, so strictness alone
-    forced the extra unit of oversampling.  Returns (None, False) when no
-    s works.
-    """
-    if tau == 0.0:
-        # Exact-rank input: any oversampling succeeds, take the minimum legal.
-        return (2, False) if epsilon > 0.0 else (None, False)
-    if epsilon - tau <= FEASIBILITY_MARGIN * epsilon:
-        return None, False
-    s = max(math.ceil(r * tau / (epsilon - tau) + 1.0), 2)
-    # Floating-point repair: the postconditions (strict feasibility,
-    # minimality) must hold exactly as tested, not just in real arithmetic.
-    while expected_error_bound(r, s, tau) >= epsilon:
-        s += 1
-    while s > 2 and expected_error_bound(r, s - 1, tau) < epsilon:
-        s -= 1
-    # The flag comes from the repaired s, not from the ceiling formula:
-    # the formula's value also rounds to an integer whenever
-    # r*tau/(epsilon-tau) falls below the float resolution at 1.
-    return s, s > 2 and expected_error_bound(r, s - 1, tau) == epsilon
-
-
 def choose_oversampling(r: int, tau: float, epsilon: float, mode: str = MODE_SQUARED) -> int | None:
-    """Least oversampling making the expected-error bound beat epsilon.
+    """Least s >= 2 whose computed bound ``(1 + r/(s-1)) * tau`` is strictly
+    below epsilon.
 
     Returns None when the budget is infeasible, i.e. at or below the tail
     energy: no amount of oversampling brings the bound under the
@@ -141,10 +116,29 @@ def choose_oversampling(r: int, tau: float, epsilon: float, mode: str = MODE_SQU
     _check_mode(mode)
     if r < 1:
         raise ValueError(f"rank must be positive, got {r}")
-    if tau < 0.0:
-        raise ValueError(f"tail energy must be non-negative, got {tau}")
-    s, _ = _least_oversampling(r, tau, epsilon)
-    return s
+    if not 0.0 <= tau < math.inf:
+        raise ValueError(f"tail energy must be finite and non-negative, got {tau}")
+    if math.isnan(epsilon):
+        raise ValueError("error budget must be a number, got nan")
+    if tau == 0.0:
+        # Exact-rank input: any oversampling succeeds, take the minimum legal.
+        return 2 if epsilon > 0.0 else None
+    if epsilon - tau <= FEASIBILITY_MARGIN * epsilon:
+        return None
+    # The computed bound never increases with s: s - 1.0, r / x, 1 + x and
+    # x * tau are each correctly rounded and monotone.  So doubling then
+    # bisecting finds the least s.  Doubling ends once r/(s-1) < 2**-53,
+    # where the computed bound equals tau, below epsilon by the check above.
+    lo, hi = 1, 2
+    while expected_error_bound(r, hi, tau) >= epsilon:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if expected_error_bound(r, mid, tau) < epsilon:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 @dataclass(frozen=True)
@@ -198,7 +192,7 @@ def plan(spectrum: SingularSpectrum, r: int, epsilon: float, mode: str = MODE_SQ
     if r < 1 or r > len(spectrum):
         raise ValueError(f"rank {r} out of range for spectrum of length {len(spectrum)}")
     tau = effective_tail_energy(spectrum, r)
-    s, bumped = (None, False) if epsilon <= tau * (1.0 + FLOOR_RTOL) else _least_oversampling(r, tau, epsilon)
+    s = None if epsilon <= tau * (1.0 + FLOOR_RTOL) else choose_oversampling(r, tau, epsilon, mode)
     feasible = s is not None
     return ApproximationPlan(
         target_rank=r,
@@ -209,6 +203,6 @@ def plan(spectrum: SingularSpectrum, r: int, epsilon: float, mode: str = MODE_SQ
         mode=mode,
         fallback=feasible and r + s >= min(spectrum.source_dims),
         feasible=feasible,
-        strictness_bumped=bumped,
+        strictness_bumped=feasible and s > 2 and expected_error_bound(r, s - 1, tau) == epsilon,
         reason=None if feasible else INFEASIBLE_REASON,
     )

@@ -110,8 +110,8 @@ def test_criterion_3_oversampling_selection_rule():
         if s - 1 >= 2 and not expected_error_bound(r, s - 1, tau) >= epsilon:
             failures.append(f"triple {i}: s={s} is not minimal")
 
-    # exact-integer boundaries: epsilon = (1 + r/k) * tau makes the ceiling
-    # formula land exactly where the bound equals epsilon, forcing the bump
+    # exact-integer boundaries: epsilon = (1 + r/k) * tau equals the bound
+    # at s = k + 1 exactly, so strictness forces the bump to k + 2
     for r, k, tau in ((10, 2, 1.0), (10, 10, 1.0), (2, 4, 1.0), (6, 3, 0.25)):
         epsilon = (1.0 + r / k) * tau
         s = choose_oversampling(r, tau, epsilon)

@@ -1,6 +1,7 @@
 """CLI surface tests: subcommands, JSON contracts, exit codes."""
 
 import json
+import math
 import warnings
 
 import numpy as np
@@ -245,6 +246,40 @@ def test_overflowing_input_is_one_error_line(capsys, tmp_path):
         code, out, _ = run_cli(capsys, ["spectrum", path])
     assert code == 0
     assert json.loads(out)["values"][0] > 1e160
+
+
+@pytest.mark.parametrize("scale", [1e80, 1e-100])
+def test_bench_std_error_scales_with_input_squared(capsys, tmp_path, scale):
+    # The squared errors' deviations, squared again, leave float64 range at these scales.
+    G = np.random.default_rng(3).standard_normal((20, 15))
+    std_error = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c in (1.0, scale):
+            path = str(tmp_path / f"g{c:g}.mtx")
+            write_matrix_market(path, c * G)
+            code, out, _ = run_cli(
+                capsys, ["bench", path, "--rank", "2", "--oversample", "3", "--trials", "5", "--seed", "1"]
+            )
+            assert code == 0
+            std_error[c] = json.loads(out)["std_error"]
+    assert math.isfinite(std_error[scale]) and std_error[scale] > 0.0
+    assert std_error[scale] / scale**2 == pytest.approx(std_error[1.0], rel=1e-12)
+
+
+def test_bench_overflowing_squared_norm_is_one_error_line(capsys, tmp_path):
+    # Rank 1 at 1e167: the dust tail's energy is finite, the squared norm is not.
+    rng = np.random.default_rng(4)
+    path = str(tmp_path / "rank1.mtx")
+    write_matrix_market(path, 1e167 * np.outer(rng.standard_normal(20), rng.standard_normal(15)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, ["bench", path, "--rank", "1", "--oversample", "3", "--trials", "5", "--seed", "1"]
+        )
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "overflows float64" in err
 
 
 def test_missing_file_is_error(capsys):

@@ -1,5 +1,10 @@
 """File round-trip tests: Matrix Market (both layouts) and CSV."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -102,3 +107,14 @@ def test_write_rejects_non_finite(tmp_path):
         write_csv(tmp_path / "x.csv", np.array([[np.nan]]))
     with pytest.raises(ValueError):
         write_matrix_market(tmp_path / "x.mtx", np.array([[np.inf]]))
+
+
+def test_import_randlr_does_not_load_scipy():
+    # Only Matrix Market I/O needs scipy, and importing it would double the import time.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, randlr; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

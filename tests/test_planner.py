@@ -1,6 +1,7 @@
 """Tests for tail energy, the expected-error bound, and oversampling choice."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -68,8 +69,8 @@ def test_bound_validates_arguments():
 
 
 def test_choose_integer_boundary_bumps():
-    # the ceiling formula lands exactly on s with bound == epsilon; the
-    # strict inequality then forces one more
+    # the bound equals epsilon exactly at s = 11; the strict inequality
+    # then forces one more
     assert expected_error_bound(10, 11, 1.0) == pytest.approx(2.0)
     assert choose_oversampling(10, 1.0, 2.0) == 12
 
@@ -104,6 +105,10 @@ def test_choose_validates():
         choose_oversampling(2, -1.0, 2.0)
     with pytest.raises(ValueError):
         choose_oversampling(2, 1.0, 2.0, mode="plain")
+    # Unchecked, the search returns s = 2 for a NaN and doubles into an OverflowError at tau = epsilon = inf.
+    for tau, epsilon in ((float("nan"), 2.0), (float("inf"), float("inf")), (1.0, float("nan"))):
+        with pytest.raises(ValueError):
+            choose_oversampling(2, tau, epsilon)
 
 
 def test_choose_monotone_in_epsilon():
@@ -113,6 +118,26 @@ def test_choose_monotone_in_epsilon():
     assert all(a >= b for a, b in zip(chosen, chosen[1:]))
     # s blows up as epsilon approaches the floor from above
     assert choose_oversampling(6, 1.0, 1.0 + 1e-9) > 1e9
+
+
+def test_choose_near_the_floor_is_least_strictly_feasible():
+    # Gaps just outside FEASIBILITY_MARGIN, where s reaches ~1e12.
+    rng = np.random.default_rng(4)
+    for _ in range(300):
+        r = int(rng.integers(1, 21))
+        tau = float(10.0 ** rng.uniform(-6.0, 6.0))
+        epsilon = tau * (1.0 + 10.0 ** rng.uniform(-11.0, -8.0))
+        s = choose_oversampling(r, tau, epsilon)
+        assert expected_error_bound(r, s, tau) < epsilon
+        assert expected_error_bound(r, s - 1, tau) >= epsilon
+
+
+def test_choose_near_the_floor_is_fast():
+    start = time.perf_counter()
+    s = choose_oversampling(5, 1.0, 1.0 + 2e-12)
+    assert time.perf_counter() - start < 1.0
+    assert expected_error_bound(5, s, 1.0) < 1.0 + 2e-12
+    assert expected_error_bound(5, s - 1, 1.0) >= 1.0 + 2e-12
 
 
 @settings(max_examples=300, deadline=None)
