@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -214,8 +215,13 @@ def _run_trials(F, r, s, trials, master_seed, workers=1) -> np.ndarray:
         err = approximation_error(F, factorize(F, r, s, derive_seed(master_seed, 0)))
         return np.full(trials, err)
 
+    # One residual buffer per worker thread, reused by all of its trials.
+    local = threading.local()
+
     def one(i: int) -> float:
-        return approximation_error(F, factorize(F, r, s, derive_seed(master_seed, i)))
+        if not hasattr(local, "residual"):
+            local.residual = np.empty(F.shape)
+        return approximation_error(F, factorize(F, r, s, derive_seed(master_seed, i)), out=local.residual)
 
     if workers <= 1:
         errors = [one(i) for i in range(trials)]
@@ -225,12 +231,14 @@ def _run_trials(F, r, s, trials, master_seed, workers=1) -> np.ndarray:
     return np.asarray(errors)
 
 
-def _check_trial_args(F: np.ndarray, r: int, trials: int, mode: str) -> None:
-    """Reject a bad rank, trial count or mode before any decomposition."""
+def _check_trial_args(F: np.ndarray, r: int, trials: int, mode: str, workers: int) -> None:
+    """Reject a bad rank, trial count, mode or worker count before any decomposition."""
     if r < 1 or r > min(F.shape):
         raise ValueError(f"target rank {r} out of range for {F.shape[0]}x{F.shape[1]}")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
+    if workers < 1:
+        raise ValueError(f"need at least one worker, got {workers}")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -282,7 +290,7 @@ def monte_carlo(
     ``tail_energy`` and ``bound`` but never turns a satisfied verdict into
     a violated one.
     """
-    _check_trial_args(F, r, trials, mode)
+    _check_trial_args(F, r, trials, mode, workers)
     if s < 2:
         raise ValueError(f"oversampling must be at least 2, got {s}")
     spectrum = singular_values(F)
@@ -409,9 +417,12 @@ def beat_baseline_experiment(
     """
     if baseline not in BASELINES:
         raise ValueError(f"unknown baseline {baseline!r}, expected one of {sorted(BASELINES)}")
-    _check_trial_args(F, r, trials, mode)
+    _check_trial_args(F, r, trials, mode, workers)
     spectrum = singular_values(F)
-    tau = effective_tail_energy(spectrum, r)  # rejects an overflowing input before the baseline's norm
+    # Reject an input whose squared norm overflows before the baseline's
+    # column norms do, as monte_carlo does.
+    spectrum.total_energy()
+    tau = effective_tail_energy(spectrum, r)
     base_err = approximation_error(F, BASELINES[baseline](F, r))
     budget = base_err**2 if mode == MODE_SQUARED else base_err
     chosen = plan(spectrum, r, budget, mode)

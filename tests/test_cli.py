@@ -115,6 +115,26 @@ def test_bench_parallel_identical(capsys, bench_matrix):
     assert serial == threaded
 
 
+def test_beat_parallel_identical(capsys, bench_matrix):
+    base = ["beat", bench_matrix, "--rank", "3", "--baseline", "colsel",
+            "--trials", "16", "--seed", "5"]
+    code1, serial, _ = run_cli(capsys, base + ["--workers", "1"])
+    code2, threaded, _ = run_cli(capsys, base + ["--workers", "2"])
+    assert code1 == code2 == 0
+    assert json.loads(serial)["config"]["trials"] == 16
+    assert serial == threaded
+
+
+@pytest.mark.parametrize("command", ["bench", "beat"])
+def test_non_positive_workers_is_one_error_line(capsys, bench_matrix, command):
+    argv = [command, bench_matrix, "--rank", "2", "--trials", "4", "--seed", "1", "--workers", "0"]
+    argv += ["--oversample", "3"] if command == "bench" else ["--baseline", "colsel"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "worker" in err
+
+
 def test_beat_colsel(capsys, tmp_path):
     mat = tmp_path / "sn.mtx"
     code, _, _ = run_cli(
@@ -280,6 +300,29 @@ def test_bench_overflowing_squared_norm_is_one_error_line(capsys, tmp_path):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "overflows float64" in err
+
+
+def test_beat_overflowing_squared_norm_is_one_error_line(capsys, tmp_path):
+    # Rank 1 at 1e167: column selection's column norms would overflow.
+    rng = np.random.default_rng(4)
+    path = str(tmp_path / "rank1.mtx")
+    write_matrix_market(path, 1e167 * np.outer(rng.standard_normal(20), rng.standard_normal(15)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, ["beat", path, "--rank", "2", "--baseline", "colsel", "--trials", "3", "--seed", "1"]
+        )
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "overflows float64" in err
+
+
+def test_plan_infinite_epsilon_is_rejected_before_reading(capsys, tmp_path, diag_csv):
+    for path in (diag_csv, str(tmp_path / "missing.csv")):
+        code, out, err = run_cli(capsys, ["plan", path, "--rank", "1", "--epsilon", "inf"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "finite" in err
 
 
 def test_missing_file_is_error(capsys):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.linalg import lapack_lite
 
 from randlr.core import (
     SingularSpectrum,
@@ -147,6 +148,55 @@ def test_qr_rank_deficient_stays_orthonormal():
 def test_qr_rejects_wide():
     with pytest.raises(ValueError):
         thin_qr(np.zeros((3, 5)))
+
+
+def sign_fixed_numpy_qr(M):
+    """Reference: np.linalg.qr with the columns of Q and rows of R flipped
+    where diag(R) < 0."""
+    Q, R = np.linalg.qr(M)
+    flip = np.diag(R) < 0.0
+    R[flip, :] *= -1.0
+    Q[:, flip] *= -1.0
+    return Q, R
+
+
+def qr_inputs():
+    rng = np.random.default_rng(2024)
+    rank_deficient = rng.standard_normal((40, 3)) @ rng.standard_normal((3, 9))
+    wide = rng.standard_normal((60, 30))
+    return {
+        "3000x18": rng.standard_normal((3000, 18)),
+        "200x29": rng.standard_normal((200, 29)),
+        "200x200 (blocked)": rng.standard_normal((200, 200)),
+        "60x11": rng.standard_normal((60, 11)),
+        "1x1": np.array([[-2.5]]),
+        "zero": np.zeros((7, 4)),
+        "rank-deficient": rank_deficient,
+        "fortran-ordered": np.asfortranarray(rng.standard_normal((50, 12))),
+        "strided slice": wide[::2, 1::3],
+        "integer": rng.integers(-9, 10, size=(25, 6)),
+    }
+
+
+@pytest.mark.parametrize("name", list(qr_inputs()))
+def test_qr_matches_sign_fixed_numpy_qr(name):
+    M = qr_inputs()[name]
+    before = M.copy()
+    Q, R = thin_qr(M)
+    Q0, R0 = sign_fixed_numpy_qr(M)
+    assert np.array_equal(M, before)  # the input is not mutated
+    assert Q.shape == Q0.shape and R.shape == R0.shape
+    assert np.abs(Q - Q0).max() <= 1e-14
+    assert np.abs(R - R0).max() <= 1e-14 * max(1.0, np.abs(R0).max())
+
+
+def test_qr_lapack_failure_is_linalg_error(monkeypatch):
+    def dgeqrf(*args):
+        return {"info": -4}
+
+    monkeypatch.setattr(lapack_lite, "dgeqrf", dgeqrf)
+    with pytest.raises(np.linalg.LinAlgError, match="dgeqrf"):
+        thin_qr(np.eye(3))
 
 
 # --- singular values / svd_factors ------------------------------------------

@@ -29,7 +29,7 @@ from randlr.experiments import (
     verify_gaussian_pinv_moment,
 )
 from randlr.planner import INFEASIBLE_REASON, plan, tail_energy
-from randlr.rangefinder import METHOD_COLUMN_SELECT, METHOD_TRUNCATED_SVD
+from randlr.rangefinder import METHOD_COLUMN_SELECT, METHOD_TRUNCATED_SVD, approximation_error, factorize
 
 
 def prescribed(dims, values, seed):
@@ -193,6 +193,17 @@ def test_monte_carlo_parallel_schedule_identical():
     assert serial.to_json() == threaded.to_json()
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_trials_reused_buffer_does_not_leak_between_trials(workers):
+    F = gen_signal_plus_noise(
+        GeneratorSpec(dims=(300, 40), kind=KIND_SIGNAL_NOISE, signal_rank=5, noise_level=0.1, seed=9)
+    )
+    r, s, seed = 5, 4, 31
+    errors = randlr.experiments._run_trials(F, r, s, 12, seed, workers)
+    expected = [approximation_error(F, factorize(F, r, s, derive_seed(seed, i))) for i in range(12)]
+    assert errors.tolist() == expected
+
+
 def test_monte_carlo_fraction_below_epsilon():
     F = prescribed((20, 18), tuple(0.5**i for i in range(6)), seed=14)
     rep = monte_carlo(F, 2, 2, 12, master_seed=1, epsilon=1e6)
@@ -233,6 +244,18 @@ def test_monte_carlo_validates_before_decomposing(monkeypatch):
             monte_carlo(F, r, s, trials, master_seed=1, mode=mode)
     with pytest.raises(ValueError):
         beat_baseline_experiment(F, 7, METHOD_COLUMN_SELECT, 5, master_seed=1)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_worker_count_validated_before_decomposing(monkeypatch, workers):
+    def no_svd(_):
+        raise AssertionError("singular_values called before validation")
+
+    monkeypatch.setattr(randlr.experiments, "singular_values", no_svd)
+    with pytest.raises(ValueError, match="worker"):
+        monte_carlo(np.eye(6), 1, 2, 5, master_seed=1, workers=workers)
+    with pytest.raises(ValueError, match="worker"):
+        beat_baseline_experiment(np.eye(6), 1, METHOD_COLUMN_SELECT, 5, master_seed=1, workers=workers)
 
 
 def test_bench_plan_and_beat_report_the_same_tau():

@@ -111,10 +111,18 @@ def test_write_rejects_non_finite(tmp_path):
 
 def test_import_randlr_does_not_load_scipy():
     # Only Matrix Market I/O needs scipy, and importing it would double the import time.
+    # The trial engine stays numpy-only too: scipy.linalg would add ~8 MB of peak RSS.
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    script = (
+        "import sys, numpy as np, randlr\n"
+        "print('scipy' in sys.modules)\n"
+        "F = np.random.default_rng(0).standard_normal((40, 12))\n"
+        "randlr.monte_carlo(F, 2, 3, 4, master_seed=1, workers=2)\n"
+        "print('scipy' in sys.modules)\n"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, randlr; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", script],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "False\nFalse\n"

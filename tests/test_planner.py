@@ -111,6 +111,16 @@ def test_choose_validates():
             choose_oversampling(2, tau, epsilon)
 
 
+def test_infinite_budget_is_rejected():
+    # Every s meets an infinite budget, and the report could not be written as JSON.
+    spec = SingularSpectrum(values=np.array([3.0, 2.0, 1.0]), source_dims=(3, 3))
+    for epsilon in (float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="finite"):
+            choose_oversampling(1, 5.0, epsilon)
+        with pytest.raises(ValueError, match="finite"):
+            plan(spec, 1, epsilon)
+
+
 def test_choose_monotone_in_epsilon():
     taus = 1.0
     eps_grid = [1.001, 1.01, 1.1, 1.5, 2.0, 5.0, 50.0]
