@@ -49,13 +49,19 @@ def column_select(F: np.ndarray, r: int) -> FactoredApproximation:
     After each pick the chosen direction is projected out of the remaining
     columns, so near-duplicates of an already-picked column do not get
     picked again.  Ties break toward the lowest column index, making the
-    output fully deterministic.
+    output fully deterministic.  A column whose squared norm overflows
+    float64 is a ValueError.
     """
     _check_rank(F, r)
     resid = np.array(F, dtype=np.float64)
     picked: list[int] = []
     for _ in range(r):
-        norms = np.einsum("ij,ij->j", resid, resid)
+        with np.errstate(over="ignore"):
+            norms = np.einsum("ij,ij->j", resid, resid)
+        if not np.isfinite(norms).all():
+            # An overflowed norm would make the pick's direction zero and
+            # silently skip its deflation.
+            raise ValueError("squared column norm overflows float64; rescale the input")
         norms[picked] = -1.0
         j = int(np.argmax(norms))
         picked.append(j)

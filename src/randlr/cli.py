@@ -26,7 +26,7 @@ from .experiments import (
     verify_gaussian_pinv_moment,
 )
 from .io import read_matrix, write_matrix
-from .planner import MODE_SQUARED, MODES, _check_budget, plan
+from .planner import MODE_SQUARED, MODES, check_budget, plan
 from .rangefinder import METHOD_COLUMN_SELECT, METHOD_TRUNCATED_SVD, factorize, save_factored
 
 __all__ = ["main"]
@@ -72,7 +72,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    _check_budget(args.epsilon)  # before the SVD
+    check_budget(args.epsilon)  # before the SVD
     spectrum = _load_spectrum_or_matrix(args.input)
     result = plan(spectrum, args.rank, args.epsilon, args.mode)
     _emit(result.to_dict())
@@ -119,7 +119,6 @@ def _cmd_beat(args) -> int:
         args.trials,
         args.seed,
         mode=args.mode,
-        workers=args.workers,
     )
     _emit(report.to_dict())
     return EXIT_INFEASIBLE if report.verdict == VERDICT_NOT_APPLICABLE else EXIT_OK
@@ -196,7 +195,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--mode", choices=MODES, default=MODE_SQUARED)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_beat)
 
     p = sub.add_parser("gen", help="generate a reproducible test matrix file")

@@ -34,6 +34,7 @@ __all__ = [
     "MODE_LITERAL",
     "MODES",
     "ApproximationPlan",
+    "check_budget",
     "tail_energy",
     "effective_tail_energy",
     "expected_error_bound",
@@ -63,7 +64,7 @@ def _check_mode(mode: str) -> str:
     return mode
 
 
-def _check_budget(epsilon: float) -> None:
+def check_budget(epsilon: float) -> None:
     """An error budget must be a finite number: an infinite one is met by
     any oversampling and cannot be written to a JSON report."""
     if not math.isfinite(epsilon):
@@ -125,7 +126,7 @@ def choose_oversampling(r: int, tau: float, epsilon: float, mode: str = MODE_SQU
         raise ValueError(f"rank must be positive, got {r}")
     if not 0.0 <= tau < math.inf:
         raise ValueError(f"tail energy must be finite and non-negative, got {tau}")
-    _check_budget(epsilon)
+    check_budget(epsilon)
     if tau == 0.0:
         # Exact-rank input: any oversampling succeeds, take the minimum legal.
         return 2 if epsilon > 0.0 else None
@@ -195,7 +196,7 @@ def plan(spectrum: SingularSpectrum, r: int, epsilon: float, mode: str = MODE_SQ
     through the tau = 0 special case.
     """
     _check_mode(mode)
-    _check_budget(epsilon)
+    check_budget(epsilon)
     if r < 1 or r > len(spectrum):
         raise ValueError(f"rank {r} out of range for spectrum of length {len(spectrum)}")
     tau = effective_tail_energy(spectrum, r)

@@ -109,3 +109,13 @@ def test_baselines_have_no_oversampling():
     F = np.diag([5.0, 3.0, 2.0, 1.0])
     assert truncated_svd(F, 2).oversampling == 0
     assert column_select(F, 2).oversampling == 0
+
+
+def test_column_select_overflowing_column_norm_is_value_error():
+    # An infinite column norm would zero the pick's direction and skip its
+    # deflation without a word.
+    F = np.zeros((4, 3))
+    F[:, 0] = 1e160
+    F[0, 1] = 1.0
+    with np.errstate(all="raise"), pytest.raises(ValueError, match="overflows float64"):
+        column_select(F, 2)

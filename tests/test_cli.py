@@ -115,20 +115,9 @@ def test_bench_parallel_identical(capsys, bench_matrix):
     assert serial == threaded
 
 
-def test_beat_parallel_identical(capsys, bench_matrix):
-    base = ["beat", bench_matrix, "--rank", "3", "--baseline", "colsel",
-            "--trials", "16", "--seed", "5"]
-    code1, serial, _ = run_cli(capsys, base + ["--workers", "1"])
-    code2, threaded, _ = run_cli(capsys, base + ["--workers", "2"])
-    assert code1 == code2 == 0
-    assert json.loads(serial)["config"]["trials"] == 16
-    assert serial == threaded
-
-
-@pytest.mark.parametrize("command", ["bench", "beat"])
-def test_non_positive_workers_is_one_error_line(capsys, bench_matrix, command):
-    argv = [command, bench_matrix, "--rank", "2", "--trials", "4", "--seed", "1", "--workers", "0"]
-    argv += ["--oversample", "3"] if command == "bench" else ["--baseline", "colsel"]
+def test_non_positive_workers_is_one_error_line(capsys, bench_matrix):
+    argv = ["bench", bench_matrix, "--rank", "2", "--oversample", "3", "--trials", "4", "--seed", "1",
+            "--workers", "0"]
     code, out, err = run_cli(capsys, argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -302,19 +291,39 @@ def test_bench_overflowing_squared_norm_is_one_error_line(capsys, tmp_path):
     assert "overflows float64" in err
 
 
-def test_beat_overflowing_squared_norm_is_one_error_line(capsys, tmp_path):
-    # Rank 1 at 1e167: column selection's column norms would overflow.
+@pytest.fixture
+def rank1_overflow_matrix(tmp_path):
+    """Rank 1 at 1e167: the squared norm overflows, the (dust) tail energy does not."""
     rng = np.random.default_rng(4)
     path = str(tmp_path / "rank1.mtx")
     write_matrix_market(path, 1e167 * np.outer(rng.standard_normal(20), rng.standard_normal(15)))
+    return path
+
+
+def test_beat_overflowing_squared_norm_is_one_error_line(capsys, rank1_overflow_matrix):
+    # Column selection's column norms would overflow.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(
-            capsys, ["beat", path, "--rank", "2", "--baseline", "colsel", "--trials", "3", "--seed", "1"]
+            capsys,
+            ["beat", rank1_overflow_matrix, "--rank", "2", "--baseline", "colsel", "--trials", "3", "--seed", "1"],
         )
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "overflows float64" in err
+
+
+def test_beat_svd_runs_where_only_the_squared_norm_overflows(capsys, rank1_overflow_matrix):
+    # The truncated SVD never squares a column norm, so the overflow guard
+    # of column selection must not reject this input.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys,
+            ["beat", rank1_overflow_matrix, "--rank", "2", "--baseline", "svd", "--trials", "3", "--seed", "1"],
+        )
+    assert code == 0 and err == ""
+    assert json.loads(out)["config"]["baseline"] == "truncated-svd"
 
 
 def test_plan_infinite_epsilon_is_rejected_before_reading(capsys, tmp_path, diag_csv):
