@@ -55,14 +55,22 @@ def _spectrum_to_dict(spectrum: SingularSpectrum) -> dict:
 
 def _load_spectrum_or_matrix(path: str) -> SingularSpectrum:
     """A .json file is read as a serialized spectrum; anything else is read
-    as a matrix and decomposed."""
+    as a matrix and decomposed.  A malformed spectrum file is a ValueError
+    naming the file."""
     if str(path).lower().endswith(".json"):
         with open(path) as fh:
-            data = json.load(fh)
-        return SingularSpectrum(
-            values=np.asarray(data["values"], dtype=np.float64),
-            source_dims=tuple(data["source_dims"]),
-        )
+            try:
+                data = json.load(fh)
+                rows, cols = data["source_dims"]
+                return SingularSpectrum(
+                    values=np.asarray(data["values"], dtype=np.float64),
+                    source_dims=(rows, cols),
+                )
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"{path} is not a spectrum file ({type(exc).__name__}: {exc}); expected "
+                    '{"values": [...], "source_dims": [rows, cols]}'
+                ) from exc
     return singular_values(read_matrix(path))
 
 

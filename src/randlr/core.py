@@ -5,12 +5,11 @@ package: 2-D, finite entries only, :func:`as_matrix` being the validating
 constructor.  The decompositions are thin wrappers over LAPACK that pin
 the conventions the rest of the package and its tests rely on:
 
-* :func:`thin_qr` -- ``dgeqrf``/``dorgqr`` from numpy's bundled
-  ``numpy.linalg.lapack_lite``, called on one column-major copy; the
-  signs are fixed so the diagonal of R is non-negative (Q is then unique
-  for full-rank input).
-* :func:`svd_factors` / :func:`singular_values` (``numpy.linalg``) -- values sorted
-  non-increasing; U is orthonormal even for rank-deficient input.
+* :func:`thin_qr` (``numpy.linalg.qr``) -- the signs are fixed so the
+  diagonal of R is non-negative (Q is then unique for full-rank input).
+* :func:`svd_factors` / :func:`singular_values` (``numpy.linalg.svd``) --
+  values sorted non-increasing; U is orthonormal even for rank-deficient
+  input.
 * :func:`pseudoinverse` -- singular values below ``RANK_TOL * sigma_max``
   count as zero.
 
@@ -28,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import lapack_lite
 
 __all__ = [
     "SingularSpectrum",
@@ -105,40 +103,13 @@ def thin_qr(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     diag(R) arbitrary; flipping the matching columns of Q and rows of R
     makes Q unique for full-rank input.  Rank-deficient input still yields
     an orthonormal Q.
-
-    ``dgeqrf`` and ``dorgqr`` run in place on a C-contiguous copy of M.T,
-    which is M in column-major layout, so M is copied once (``np.linalg.qr``
-    copies it twice, row by row).  The workspace is at least LAPACK's
-    optimal size, as in ``np.linalg.qr``, so LAPACK takes the same blocked
-    path and Q and R are bitwise equal to that function's.
     """
     a, b = M.shape
     if a < b:
         raise ValueError(f"thin_qr needs rows >= cols, got {a}x{b}")
-    A = np.array(M.T, dtype=np.float64, order="C")
-    lda = max(1, a)
-    tau = np.empty(b)
-    query = np.empty(1)
-    _lapack(lapack_lite.dgeqrf, a, b, A, lda, tau, query, -1)
-    lwork = int(query[0])
-    _lapack(lapack_lite.dorgqr, a, b, b, A, lda, tau, query, -1)
-    work = np.empty(max(1, b, lwork, int(query[0])))
-    _lapack(lapack_lite.dgeqrf, a, b, A, lda, tau, work, work.size)
-    R = np.triu(A[:, :b].T)
-    _lapack(lapack_lite.dorgqr, a, b, b, A, lda, tau, work, work.size)
-    Q = A.T
+    Q, R = np.linalg.qr(M)
     sign = np.where(np.diag(R) < 0.0, -1.0, 1.0)
-    Q *= sign
-    R *= sign[:, None]
-    return Q, R
-
-
-def _lapack(routine, *args) -> None:
-    """Call a ``lapack_lite`` routine, appending its ``info`` argument, and
-    raise ``LinAlgError`` when LAPACK reports a failure."""
-    info = routine(*args, 0)["info"]
-    if info != 0:
-        raise np.linalg.LinAlgError(f"LAPACK {routine.__name__} failed with info={info}")
+    return Q * sign, R * sign[:, None]
 
 
 def svd_factors(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

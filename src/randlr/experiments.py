@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -20,8 +19,10 @@ from .core import (
     RANK_TOL,
     SEED_MIX,
     derive_seed,
+    frobenius_norm,
     gaussian_matrix,
     singular_values,
+    svd_factors,
 )
 from .planner import (
     MODE_SQUARED,
@@ -37,6 +38,7 @@ from .rangefinder import (
     approximation_error,
     build_basis,
     factorize,
+    sketch,
 )
 
 __all__ = [
@@ -209,19 +211,29 @@ def _run_trials(F, r, s, trials, master_seed, workers=1) -> np.ndarray:
 
     Trial i uses the substream derived from (master_seed, i), so results do
     not depend on execution order or on the number of workers.
+
+    Each trial runs in F's singular coordinates.  With ``F = U diag(sv) Vt``
+    (k = min(a, b) singular values), the sketch ``F G = U (diag(sv) Vt G)``
+    lies in range(U), so the basis of :func:`factorize` is ``Q = U W`` with
+    ``W = orth(diag(sv) Vt G)``, and ``||F - Q Q^T F|| = ||(I - W W^T)
+    diag(sv)||``: a k x l problem instead of an a x b one.  W's sign
+    convention does not matter, because only ``W W^T`` enters.
     """
     if r + s >= min(F.shape):
         # The exact fallback ignores its seed; one evaluation serves all trials.
         err = approximation_error(F, factorize(F, r, s, derive_seed(master_seed, 0)))
         return np.full(trials, err)
 
-    # One residual buffer per worker thread, reused by all of its trials.
-    local = threading.local()
+    _, sv, Vt = svd_factors(F)
+    scaled = sv[:, None] * Vt
+    k = len(sv)
 
     def one(i: int) -> float:
-        if not hasattr(local, "residual"):
-            local.residual = np.empty(F.shape)
-        return approximation_error(F, factorize(F, r, s, derive_seed(master_seed, i)), out=local.residual)
+        W = build_basis(sketch(scaled, r + s, derive_seed(master_seed, i)))
+        # (W W^T - I) diag(sv), its diagonal subtracted in place
+        residual = W @ (W.T * sv)
+        residual.flat[:: k + 1] -= sv
+        return frobenius_norm(residual)
 
     if workers <= 1:
         errors = [one(i) for i in range(trials)]

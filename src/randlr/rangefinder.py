@@ -134,22 +134,14 @@ def factorize(F: np.ndarray, r: int, s: int, seed: int) -> FactoredApproximation
     )
 
 
-def approximation_error(F: np.ndarray, approx: FactoredApproximation, out: np.ndarray | None = None) -> float:
-    """Exact Frobenius error ``||F - basis @ coeffs||``.
-
-    The residual is built in ``out`` (F-shaped float64, overwritten) when
-    given, else in one fresh array; F itself is never written.  Reusing
-    ``out`` across calls spares the allocator the page faults of a fresh
-    a x b temporary per call.
-    """
+def approximation_error(F: np.ndarray, approx: FactoredApproximation) -> float:
+    """Exact Frobenius error ``||F - basis @ coeffs||``."""
     if approx.basis.shape[0] != F.shape[0] or approx.coeffs.shape[1] != F.shape[1]:
         raise ValueError(
             f"approximation of shape {approx.basis.shape[0]}x{approx.coeffs.shape[1]} "
             f"does not match matrix of shape {F.shape}"
         )
-    residual = np.matmul(approx.basis, approx.coeffs, out=out)
-    np.subtract(F, residual, out=residual)
-    return frobenius_norm(residual)
+    return frobenius_norm(F - approx.reconstruct())
 
 
 def save_factored(prefix, approx: FactoredApproximation) -> list[str]:

@@ -61,6 +61,26 @@ def test_plan_from_spectrum_json(capsys, tmp_path, diag_csv):
     assert json.loads(out)["s"] == 2
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        '{"values": [2.0, 1.0]}',
+        "[2.0, 1.0]",
+        '{"values": [2.0, 1.0], "source_dims": 3}',
+        '{"values": [2.0, 1.0], "source_dims": [3]}',
+    ],
+    ids=["no-source-dims", "json-list", "scalar-dims", "one-dim"],
+)
+def test_plan_from_malformed_spectrum_is_one_error_line(capsys, tmp_path, content):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(content)
+    code, out, err = run_cli(capsys, ["plan", str(spec_path), "--rank", "1", "--epsilon", "20"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(spec_path) in err
+
+
 def test_plan_infeasible_exit_code(capsys, diag_csv):
     code, out, _ = run_cli(capsys, ["plan", diag_csv, "--rank", "1", "--epsilon", "1.0"])
     assert code == 2

@@ -193,15 +193,32 @@ def test_monte_carlo_parallel_schedule_identical():
     assert serial.to_json() == threaded.to_json()
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_run_trials_reused_buffer_does_not_leak_between_trials(workers):
-    F = gen_signal_plus_noise(
-        GeneratorSpec(dims=(300, 40), kind=KIND_SIGNAL_NOISE, signal_rank=5, noise_level=0.1, seed=9)
+def signal_noise(dims, seed):
+    return gen_signal_plus_noise(
+        GeneratorSpec(dims=dims, kind=KIND_SIGNAL_NOISE, signal_rank=5, noise_level=0.3, seed=seed)
     )
-    r, s, seed = 5, 4, 31
+
+
+# name -> (F, r, s); every case takes the sketched path (r + s < min(F.shape))
+TRIAL_CASES = {
+    "tall": lambda: (signal_noise((300, 40), 9), 5, 4),
+    "square": lambda: (prescribed((60, 60), tuple(1.0 / i for i in range(1, 61)), seed=4), 6, 5),
+    "wide": lambda: (signal_noise((40, 300), 10), 5, 4),
+    "exact-rank": lambda: (prescribed((120, 60), (1.0,) * 6, seed=5), 6, 3),
+    "graded": lambda: (prescribed((100, 100), tuple(0.5**i for i in range(100)), seed=6), 8, 6),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", list(TRIAL_CASES))
+def test_run_trials_matches_factorize(name, workers):
+    # _run_trials works in F's singular coordinates; factorize is the reference.
+    F, r, s = TRIAL_CASES[name]()
+    seed = 31
     errors = randlr.experiments._run_trials(F, r, s, 12, seed, workers)
     expected = [approximation_error(F, factorize(F, r, s, derive_seed(seed, i))) for i in range(12)]
-    assert errors.tolist() == expected
+    assert errors.shape == (12,)
+    assert np.abs(errors - expected).max() <= 1e-13 * frobenius_norm(F)
 
 
 def test_monte_carlo_fraction_below_epsilon():
@@ -234,9 +251,10 @@ def test_monte_carlo_validates():
 
 def test_monte_carlo_validates_before_decomposing(monkeypatch):
     def no_svd(_):
-        raise AssertionError("singular_values called before validation")
+        raise AssertionError("F decomposed before validation")
 
     monkeypatch.setattr(randlr.experiments, "singular_values", no_svd)
+    monkeypatch.setattr(randlr.experiments, "svd_factors", no_svd)
     F = np.eye(6)
     for r, s, trials, mode in [(1, 1, 5, "literal"), (0, 2, 5, "literal"), (7, 2, 5, "literal"),
                                (1, 2, 0, "literal"), (1, 2, 5, "bogus")]:
@@ -249,9 +267,10 @@ def test_monte_carlo_validates_before_decomposing(monkeypatch):
 @pytest.mark.parametrize("workers", [0, -3])
 def test_worker_count_validated_before_decomposing(monkeypatch, workers):
     def no_svd(_):
-        raise AssertionError("singular_values called before validation")
+        raise AssertionError("F decomposed before validation")
 
     monkeypatch.setattr(randlr.experiments, "singular_values", no_svd)
+    monkeypatch.setattr(randlr.experiments, "svd_factors", no_svd)
     with pytest.raises(ValueError, match="worker"):
         monte_carlo(np.eye(6), 1, 2, 5, master_seed=1, workers=workers)
     with pytest.raises(ValueError, match="worker"):

@@ -173,17 +173,6 @@ def test_error_matches_elementwise_oracle():
     assert approximation_error(F, fa) == pytest.approx(manual, rel=1e-12, abs=1e-15)
 
 
-def test_error_into_out_buffer_matches_and_leaves_F_alone():
-    rng = np.random.default_rng(53)
-    F = rng.standard_normal((30, 12))
-    before = F.copy()
-    out = np.full(F.shape, np.nan)  # stale contents must not leak into the result
-    for seed in (1, 2):
-        fa = factorize(F, 3, 2, seed)
-        assert approximation_error(F, fa, out=out) == approximation_error(F, fa)
-        assert np.array_equal(F, before)
-
-
 def test_error_rejects_dimension_mismatch():
     fa = factorize(np.zeros((8, 6)), 2, 2, 1)
     with pytest.raises(ValueError):
