@@ -13,10 +13,10 @@ the conventions the rest of the package and its tests rely on:
 * :func:`pseudoinverse` -- singular values below ``RANK_TOL * sigma_max``
   count as zero.
 
-Sampling stays in-house: :func:`gaussian_matrix` applies the Box-Muller
+Sampling stays in-house: :func:`gaussian_matrices` applies the Box-Muller
 transform over the counter-based Philox generator, so every (rows, cols,
-seed) triple is reproducible and independent substreams can be derived
-with :func:`derive_seed`.
+seed) triple is reproducible, whether drawn alone or in a stack, and
+independent substreams can be derived with :func:`derive_seed`.
 
 All functions are pure and never mutate their arguments.  LAPACK failures
 surface as ``numpy.linalg.LinAlgError``, a ``ValueError``.
@@ -34,6 +34,7 @@ __all__ = [
     "frobenius_norm",
     "derive_seed",
     "gaussian_matrix",
+    "gaussian_matrices",
     "thin_qr",
     "svd_factors",
     "singular_values",
@@ -77,22 +78,30 @@ def derive_seed(master_seed: int, index: int) -> int:
 SEED_MIX = "seedsequence-spawn/v1"
 
 
-def gaussian_matrix(rows: int, cols: int, seed: int) -> np.ndarray:
-    """Matrix with i.i.d. standard normal entries, reproducible per seed.
+def gaussian_matrices(rows: int, cols: int, seeds) -> np.ndarray:
+    """Stack of ``len(seeds)`` rows x cols standard normal matrices, one per seed.
 
     Uniform doubles come from the counter-based Philox generator keyed by
-    ``seed``; the Box-Muller transform turns pairs of them into normals.
-    Entries fill the matrix column by column.
+    each seed; one Box-Muller pass over the whole stack turns pairs of them
+    into normals.  Entries fill each matrix column by column, so matrix j
+    depends on ``seeds[j]`` alone.
     """
     if rows < 1 or cols < 1:
         raise ValueError(f"dimensions must be positive, got {rows}x{cols}")
-    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
     n = rows * cols
-    u = gen.random((2, (n + 1) // 2))
-    radius = np.sqrt(-2.0 * np.log1p(-u[0]))  # log(1 - u) keeps the argument in (0, 1]
-    angle = (2.0 * np.pi) * u[1]
-    z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
-    return z[:n].reshape((rows, cols), order="F")
+    u = np.empty((len(seeds), 2, (n + 1) // 2))
+    for out, seed in zip(u, seeds):
+        np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed)))).random(out=out)
+    radius = np.sqrt(-2.0 * np.log1p(-u[:, 0]))  # log(1 - u) keeps the argument in (0, 1]
+    angle = (2.0 * np.pi) * u[:, 1]
+    z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
+    return z[:, :n].reshape(-1, cols, rows).transpose(0, 2, 1)
+
+
+def gaussian_matrix(rows: int, cols: int, seed: int) -> np.ndarray:
+    """Matrix with i.i.d. standard normal entries, reproducible per seed:
+    the one-seed case of :func:`gaussian_matrices`."""
+    return gaussian_matrices(rows, cols, [seed])[0]
 
 
 def thin_qr(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -21,6 +21,7 @@ from .core import (
     derive_seed,
     frobenius_norm,
     gaussian_matrix,
+    gaussian_matrices,
     singular_values,
     svd_factors,
 )
@@ -38,7 +39,6 @@ from .rangefinder import (
     approximation_error,
     build_basis,
     factorize,
-    sketch,
 )
 
 __all__ = [
@@ -70,8 +70,8 @@ BASELINES = {
     METHOD_COLUMN_SELECT: column_select,
 }
 
-# Entries per batched SVD in the moment check (8 MB), whatever the trial count.
-MOMENT_CHUNK_ENTRIES = 1 << 20
+# Entries per stacked array of a trial or moment chunk (256 KB), whatever the trial count.
+CHUNK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -218,6 +218,13 @@ def _run_trials(F, r, s, trials, master_seed, workers=1) -> np.ndarray:
     ``W = orth(diag(sv) Vt G)``, and ``||F - Q Q^T F|| = ||(I - W W^T)
     diag(sv)||``: a k x l problem instead of an a x b one.  W's sign
     convention does not matter, because only ``W W^T`` enters.
+
+    Trials run in chunks of consecutive indices, each one stacked draw,
+    product, QR and residual.  Every stacked array of a chunk holds at most
+    ``CHUNK_ENTRIES`` doubles (one trial per chunk when a trial needs more),
+    so memory grows with the number of threads, not of trials.  Chunk
+    boundaries depend only on the shapes and the trial count; a pool of
+    ``min(workers, chunks)`` threads shares the chunks.
     """
     if r + s >= min(F.shape):
         # The exact fallback ignores its seed; one evaluation serves all trials.
@@ -226,21 +233,25 @@ def _run_trials(F, r, s, trials, master_seed, workers=1) -> np.ndarray:
 
     _, sv, Vt = svd_factors(F)
     scaled = sv[:, None] * Vt
-    k = len(sv)
+    (k, b), l = scaled.shape, r + s
+    step = max(1, CHUNK_ENTRIES // max(k * k, b * l))
+    chunks = [range(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
 
-    def one(i: int) -> float:
-        W = build_basis(sketch(scaled, r + s, derive_seed(master_seed, i)))
-        # (W W^T - I) diag(sv), its diagonal subtracted in place
-        residual = W @ (W.T * sv)
-        residual.flat[:: k + 1] -= sv
-        return frobenius_norm(residual)
+    def run(chunk: range) -> list[float]:
+        G = gaussian_matrices(b, l, [derive_seed(master_seed, i) for i in chunk])
+        W = np.linalg.qr(scaled @ G)[0]
+        # (W W^T - I) diag(sv) per trial, the diagonals subtracted in place
+        R = W @ (W.transpose(0, 2, 1) * sv)
+        R.reshape(len(chunk), -1)[:, :: k + 1] -= sv
+        return [frobenius_norm(residual) for residual in R]
 
-    if workers <= 1:
-        errors = [one(i) for i in range(trials)]
+    threads = min(workers, len(chunks))
+    if threads == 1:
+        errors = [run(chunk) for chunk in chunks]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            errors = list(pool.map(one, range(trials)))
-    return np.asarray(errors)
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            errors = list(pool.map(run, chunks))
+    return np.concatenate(errors)
 
 
 def _check_trial_args(F: np.ndarray, r: int, trials: int, mode: str, workers: int) -> None:
@@ -370,11 +381,11 @@ def _pinv_energies(r: int, s: int, trials: int, master_seed: int) -> np.ndarray:
     """``||pinv(G_i)||_F^2`` for the r x (r+s) Gaussians G_i seeded by
     ``derive_seed(master_seed, i)``: the sum of 1/sigma^2 over the singular
     values above ``RANK_TOL * sigma_max``, from one batched SVD per chunk."""
-    step = max(1, MOMENT_CHUNK_ENTRIES // (r * (r + s)))
+    step = max(1, CHUNK_ENTRIES // (r * (r + s)))
     samples = np.empty(trials)
     for lo in range(0, trials, step):
         hi = min(lo + step, trials)
-        draws = np.stack([gaussian_matrix(r, r + s, derive_seed(master_seed, i)) for i in range(lo, hi)])
+        draws = gaussian_matrices(r, r + s, [derive_seed(master_seed, i) for i in range(lo, hi)])
         sv = np.linalg.svd(draws, compute_uv=False)
         inv2 = np.divide(1.0, sv**2, out=np.zeros_like(sv), where=sv > RANK_TOL * sv[:, :1])
         samples[lo:hi] = inv2.sum(axis=1)

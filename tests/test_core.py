@@ -10,6 +10,7 @@ from randlr.core import (
     as_matrix,
     derive_seed,
     frobenius_norm,
+    gaussian_matrices,
     gaussian_matrix,
     pseudoinverse,
     singular_values,
@@ -92,6 +93,35 @@ def test_gaussian_moments():
 def test_gaussian_rejects_bad_dims():
     with pytest.raises(ValueError):
         gaussian_matrix(0, 3, 1)
+
+
+def frozen_gaussian_matrix(rows, cols, seed):
+    """The one-seed sampler as it was before the stacked one, kept as the reference."""
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+    n = rows * cols
+    u = gen.random((2, (n + 1) // 2))
+    radius = np.sqrt(-2.0 * np.log1p(-u[0]))
+    angle = (2.0 * np.pi) * u[1]
+    z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
+    return z[:n].reshape((rows, cols), order="F")
+
+
+SAMPLER_SEEDS = [
+    [0],
+    [2**64 - 1],
+    [derive_seed(5, 3)],
+    [0, 2**64 - 1] + [derive_seed(123, i) for i in range(48)],
+]
+
+
+@pytest.mark.parametrize("seeds", SAMPLER_SEEDS, ids=["zero", "max", "derived", "stack-of-50"])
+@pytest.mark.parametrize("rows,cols", [(1, 1), (7, 3), (40, 14), (200, 29)])  # 7x3: odd count
+def test_gaussian_matrices_match_the_frozen_sampler(rows, cols, seeds):
+    stack = gaussian_matrices(rows, cols, seeds)
+    assert stack.shape == (len(seeds), rows, cols)
+    for G, seed in zip(stack, seeds):
+        assert np.array_equal(G, frozen_gaussian_matrix(rows, cols, seed))
+    assert np.array_equal(gaussian_matrix(rows, cols, seeds[-1]), stack[-1])
 
 
 def test_derive_seed_fixed_mixing():

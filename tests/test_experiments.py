@@ -2,6 +2,7 @@
 
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from randlr.core import (
     gaussian_matrix,
     pseudoinverse,
     singular_values,
+    svd_factors,
 )
 from randlr.experiments import (
     KIND_PRESCRIBED,
@@ -29,7 +31,14 @@ from randlr.experiments import (
     verify_gaussian_pinv_moment,
 )
 from randlr.planner import INFEASIBLE_REASON, plan, tail_energy
-from randlr.rangefinder import METHOD_COLUMN_SELECT, METHOD_TRUNCATED_SVD, approximation_error, factorize
+from randlr.rangefinder import (
+    METHOD_COLUMN_SELECT,
+    METHOD_TRUNCATED_SVD,
+    approximation_error,
+    build_basis,
+    factorize,
+    sketch,
+)
 
 
 def prescribed(dims, values, seed):
@@ -221,6 +230,60 @@ def test_run_trials_matches_factorize(name, workers):
     assert np.abs(errors - expected).max() <= 1e-13 * frobenius_norm(F)
 
 
+ENGINE_CASES = {
+    **TRIAL_CASES,
+    "square-1/i-200": lambda: (prescribed((200, 200), tuple(1.0 / i for i in range(1, 201)), seed=7), 10, 19),
+}
+
+
+def per_trial_errors(F, r, s, trials, master_seed):
+    """The trial engine one trial at a time: ``||(W W^T - I) diag(sv)||_F`` with
+    ``W = orth(diag(sv) Vt G_i)``, evaluated in the engine's order."""
+    _, sv, Vt = svd_factors(F)
+    scaled = sv[:, None] * Vt
+    errors = []
+    for i in range(trials):
+        W = build_basis(sketch(scaled, r + s, derive_seed(master_seed, i)))
+        residual = W @ (W.T * sv)
+        residual.flat[:: len(sv) + 1] -= sv
+        errors.append(frobenius_norm(residual))
+    return np.array(errors)
+
+
+@pytest.mark.parametrize("name", list(ENGINE_CASES))
+def test_run_trials_chunks_and_workers_do_not_change_errors(monkeypatch, name):
+    F, r, s = ENGINE_CASES[name]()
+    run = randlr.experiments._run_trials
+    reference = per_trial_errors(F, r, s, 97, 31)
+    assert np.array_equal(run(F, r, s, 97, 31), reference)
+    # 8 trials per chunk: 97 trials leave a one-trial tail chunk
+    trial_entries = max(min(F.shape) ** 2, F.shape[1] * (r + s))
+    monkeypatch.setattr(randlr.experiments, "CHUNK_ENTRIES", 8 * trial_entries)
+    for workers in (1, 2, 3):
+        assert np.array_equal(run(F, r, s, 97, 31, workers), reference)
+    monkeypatch.setattr(randlr.experiments, "CHUNK_ENTRIES", 1)  # one trial per chunk
+    for workers in (1, 2, 3):
+        assert np.array_equal(run(F, r, s, 97, 31, workers), reference)
+
+
+def test_pool_threads_bounded_by_chunks(monkeypatch):
+    requested = []
+
+    class Recorder(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+            super().__init__(max_workers=min(max_workers, 4))  # never start a huge pool
+
+    monkeypatch.setattr(randlr.experiments, "ThreadPoolExecutor", Recorder)
+    F, r, s = TRIAL_CASES["tall"]()
+    serial = randlr.experiments._run_trials(F, r, s, 12, 31)
+    assert np.array_equal(randlr.experiments._run_trials(F, r, s, 12, 31, 10**6), serial)
+    assert requested == []  # one chunk: no pool at all
+    monkeypatch.setattr(randlr.experiments, "CHUNK_ENTRIES", 5 * 40 * 40)  # 5 trials per chunk
+    assert np.array_equal(randlr.experiments._run_trials(F, r, s, 12, 31, 10**6), serial)
+    assert requested == [3]
+
+
 def test_monte_carlo_fraction_below_epsilon():
     F = prescribed((20, 18), tuple(0.5**i for i in range(6)), seed=14)
     rep = monte_carlo(F, 2, 2, 12, master_seed=1, epsilon=1e6)
@@ -316,7 +379,7 @@ def test_moment_samples_match_pseudoinverse(r, s):
 
 def test_moment_chunks_do_not_change_samples(monkeypatch):
     whole = randlr.experiments._pinv_energies(2, 3, 25, master_seed=4)
-    monkeypatch.setattr(randlr.experiments, "MOMENT_CHUNK_ENTRIES", 7 * 2 * 5)  # 7 draws per chunk
+    monkeypatch.setattr(randlr.experiments, "CHUNK_ENTRIES", 7 * 2 * 5)  # 7 draws per chunk
     assert np.array_equal(randlr.experiments._pinv_energies(2, 3, 25, master_seed=4), whole)
 
 
