@@ -13,10 +13,15 @@ the conventions the rest of the package and its tests rely on:
 * :func:`pseudoinverse` -- singular values below ``RANK_TOL * sigma_max``
   count as zero.
 
-Sampling stays in-house: :func:`gaussian_matrices` applies the Box-Muller
-transform over the counter-based Philox generator, so every (rows, cols,
-seed) triple is reproducible, whether drawn alone or in a stack, and
-independent substreams can be derived with :func:`derive_seed`.
+Sampling stays in-house: :func:`keyed_gaussian_matrices` applies the
+Box-Muller transform over numpy's counter-based Philox generator, so every
+(rows, cols, seed) triple is reproducible, whether drawn alone or in a
+stack, and independent substreams can be derived with :func:`derive_seed`.
+The streams are numpy's own: a seed's Philox key is
+``SeedSequence(seed).generate_state(2, np.uint64)``.  randlr computes
+numpy's SeedSequence hash itself, on Python ints for one seed and on uint64
+arrays for a batch, so :func:`derive_keys` derives every trial's key in one
+numpy pass, bit for bit the key numpy would build.
 
 All functions are pure and never mutate their arguments.  LAPACK failures
 surface as ``numpy.linalg.LinAlgError``, a ``ValueError``.
@@ -25,6 +30,7 @@ surface as ``numpy.linalg.LinAlgError``, a ``ValueError``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -32,14 +38,18 @@ __all__ = [
     "SingularSpectrum",
     "as_matrix",
     "frobenius_norm",
+    "check_seed",
     "derive_seed",
+    "derive_keys",
     "gaussian_matrix",
     "gaussian_matrices",
+    "keyed_gaussian_matrices",
     "thin_qr",
     "svd_factors",
     "singular_values",
     "pseudoinverse",
     "RANK_TOL",
+    "MAX_TRIALS",
 ]
 
 #: Singular values below RANK_TOL * sigma_max count as zero in pseudoinverse.
@@ -63,6 +73,74 @@ def frobenius_norm(M: np.ndarray) -> float:
     return float(np.linalg.norm(M))
 
 
+def check_seed(seed, name: str = "seed") -> None:
+    """Reject a negative seed before any work: like numpy's SeedSequence,
+    randlr seeds with non-negative integers only."""
+    if int(seed) < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {seed}")
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of four
+# uint32 words, mixed with these multipliers and a 16-bit xorshift.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _seed_words(n, name: str = "seed") -> list[int]:
+    """numpy's split of a non-negative integer into little-endian uint32 words."""
+    check_seed(n, name)
+    n = int(n)
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _seed_sequence(entropy: list, n_words: int) -> list:
+    """``SeedSequence(entropy).generate_state(n_words)`` as uint32 words.
+
+    Each entropy word is a Python int or a uint64 array of uint32 values
+    (one element per seed).  Every product and difference is masked to 32
+    bits, so the same code runs on both: words that are Python ints are
+    hashed in Python arithmetic, and arrays only enter where they appear.
+    Each hash XORs the running constant ``h``, advances ``h``, multiplies
+    by it and folds the high half in.
+    """
+    h = _INIT_A
+    pool = []
+    for i in range(_POOL_SIZE):  # the first words fill the pool, zeros past the end
+        v = ((entropy[i] if i < len(entropy) else 0) ^ h) * (h := h * _MULT_A & _MASK32) & _MASK32
+        pool.append(v ^ v >> 16)
+    for src in range(_POOL_SIZE):  # every pool word into every other
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                v = (pool[src] ^ h) * (h := h * _MULT_A & _MASK32) & _MASK32
+                m = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * (v ^ v >> 16)) & _MASK32
+                pool[dst] = m ^ m >> 16
+    for word in entropy[_POOL_SIZE:]:  # then each remaining word into all
+        for dst in range(_POOL_SIZE):
+            v = (word ^ h) * (h := h * _MULT_A & _MASK32) & _MASK32
+            m = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * (v ^ v >> 16)) & _MASK32
+            pool[dst] = m ^ m >> 16
+    h = _INIT_B
+    out = []
+    for i in range(n_words):  # generate_state cycles through the pool
+        v = (pool[i % _POOL_SIZE] ^ h) * (h := h * _MULT_B & _MASK32) & _MASK32
+        out.append(v ^ v >> 16)
+    return out
+
+
+def _spawn_entropy(master_seed: int, index_words: list) -> list:
+    """Entropy words of ``SeedSequence(master_seed, spawn_key=(index,))``:
+    with a spawn key, numpy pads the master's words to the pool size."""
+    words = _seed_words(master_seed)
+    return words + [0] * (_POOL_SIZE - len(words)) + index_words
+
+
 def derive_seed(master_seed: int, index: int) -> int:
     """Derive an independent 64-bit substream seed from (master_seed, index).
 
@@ -70,32 +148,98 @@ def derive_seed(master_seed: int, index: int) -> int:
     spawn_key=(index,))`` folded to its first 64-bit word.  Serial and
     parallel schedules that agree on indices therefore agree on streams.
     """
-    ss = np.random.SeedSequence(int(master_seed), spawn_key=(int(index),))
-    return int(ss.generate_state(1, np.uint64)[0])
+    lo, hi = _seed_sequence(_spawn_entropy(master_seed, _seed_words(index, "index")), 2)
+    return lo | hi << 32
 
 
 #: Identifier for the substream derivation above; recorded in reports.
 SEED_MIX = "seedsequence-spawn/v1"
 
+#: Trial indices must fit in one uint32 spawn word for :func:`derive_keys`.
+MAX_TRIALS = 1 << 32
 
-def gaussian_matrices(rows: int, cols: int, seeds) -> np.ndarray:
-    """Stack of ``len(seeds)`` rows x cols standard normal matrices, one per seed.
 
-    Uniform doubles come from the counter-based Philox generator keyed by
-    each seed; one Box-Muller pass over the whole stack turns pairs of them
-    into normals.  Entries fill each matrix column by column, so matrix j
-    depends on ``seeds[j]`` alone.
+def _key_from_words(w: list):
+    """Two 64-bit Philox key words from four little-endian uint32 words."""
+    return w[0] | w[1] << 32, w[2] | w[3] << 32
+
+
+def derive_keys(master_seed: int, count: int) -> np.ndarray:
+    """Philox keys of the streams ``derive_seed(master_seed, i)``, i < count.
+
+    Row i is ``SeedSequence(derive_seed(master_seed, i)).generate_state(2,
+    np.uint64)``, computed for all indices in one numpy pass.  The master
+    seed's words and the pool mixing they share are hashed once; only the
+    index word and what it touches run on arrays.
+    """
+    if count > MAX_TRIALS:
+        raise ValueError(f"trials must be at most 2**32, got {count}")
+    index = np.arange(count, dtype=np.uint64)
+    seed_words = _seed_sequence(_spawn_entropy(master_seed, [index]), 2)
+    return np.stack(_key_from_words(_seed_sequence(seed_words, 4)), axis=1)
+
+
+def _philox_key(seed: int) -> tuple[int, int]:
+    """``SeedSequence(seed).generate_state(2, np.uint64)`` in Python ints."""
+    return _key_from_words(_seed_sequence(_seed_words(seed), 4))
+
+
+@cache
+def _unkeyed():
+    """A seed sequence that gives numpy's Philox constructor key 0, its
+    cheapest seed: the sampler sets every key through ``.state`` itself.
+    Built on first use, because importing ``numpy.random`` takes 15 ms."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Unkeyed(ISeedSequence):
+        def generate_state(self, n_words, dtype=np.uint32):
+            return np.zeros(n_words, dtype)
+
+    return Unkeyed()
+
+
+def keyed_gaussian_matrices(rows: int, cols: int, keys) -> np.ndarray:
+    """Stack of ``len(keys)`` rows x cols standard normal matrices, one per
+    Philox key (a pair of uint64 words, as from :func:`derive_keys`).
+
+    One Philox bit generator serves the call: each matrix sets its key at
+    counter 0, which is the stream of ``Philox(SeedSequence(seed))`` for the
+    seed the key came from, and fills its uniform doubles.  One Box-Muller
+    pass over the whole stack turns pairs of them into normals.  Entries
+    fill each matrix column by column, so matrix j depends on ``keys[j]``
+    alone.
     """
     if rows < 1 or cols < 1:
         raise ValueError(f"dimensions must be positive, got {rows}x{cols}")
     n = rows * cols
-    u = np.empty((len(seeds), 2, (n + 1) // 2))
-    for out, seed in zip(u, seeds):
-        np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed)))).random(out=out)
+    u = np.empty((len(keys), 2, (n + 1) // 2))
+    bits = np.random.Philox(_unkeyed())
+    uniform = np.random.Generator(bits)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": None},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,  # buffer empty: the first draw runs the cipher
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    for out, key in zip(u, keys):
+        state["state"]["key"] = key
+        bits.state = state
+        uniform.random(out=out)
     radius = np.sqrt(-2.0 * np.log1p(-u[:, 0]))  # log(1 - u) keeps the argument in (0, 1]
     angle = (2.0 * np.pi) * u[:, 1]
     z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
     return z[:, :n].reshape(-1, cols, rows).transpose(0, 2, 1)
+
+
+def gaussian_matrices(rows: int, cols: int, seeds) -> np.ndarray:
+    """Stack of ``len(seeds)`` rows x cols standard normal matrices, one per
+    seed: :func:`keyed_gaussian_matrices` on the seeds' Philox keys, so
+    matrix j draws numpy's stream ``Philox(SeedSequence(seeds[j]))``.  Each
+    key is hashed in Python ints; :func:`derive_keys` hashes a whole run's
+    trial keys in one numpy pass instead."""
+    return keyed_gaussian_matrices(rows, cols, [_philox_key(seed) for seed in seeds])
 
 
 def gaussian_matrix(rows: int, cols: int, seed: int) -> np.ndarray:

@@ -16,12 +16,15 @@ import numpy as np
 
 from .baselines import column_select, truncated_svd
 from .core import (
+    MAX_TRIALS,
     RANK_TOL,
     SEED_MIX,
+    check_seed,
+    derive_keys,
     derive_seed,
     frobenius_norm,
     gaussian_matrix,
-    gaussian_matrices,
+    keyed_gaussian_matrices,
     singular_values,
     svd_factors,
 )
@@ -99,6 +102,7 @@ class GeneratorSpec:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.spectrum is not None:
             object.__setattr__(self, "spectrum", tuple(float(v) for v in self.spectrum))
+        check_seed(self.seed)
 
     def to_dict(self) -> dict:
         return {
@@ -219,12 +223,14 @@ def _run_trials(F, r, s, trials, master_seed, workers=1) -> np.ndarray:
     diag(sv)||``: a k x l problem instead of an a x b one.  W's sign
     convention does not matter, because only ``W W^T`` enters.
 
-    Trials run in chunks of consecutive indices, each one stacked draw,
-    product, QR and residual.  Every stacked array of a chunk holds at most
-    ``CHUNK_ENTRIES`` doubles (one trial per chunk when a trial needs more),
-    so memory grows with the number of threads, not of trials.  Chunk
-    boundaries depend only on the shapes and the trial count; a pool of
-    ``min(workers, chunks)`` threads shares the chunks.
+    Every trial's Philox key is derived up front in one pass
+    (:func:`derive_keys`).  Trials run in chunks of consecutive indices,
+    each one stacked draw, product, QR and residual.  Every stacked array
+    of a chunk holds at most ``CHUNK_ENTRIES`` doubles (one trial per chunk
+    when a trial needs more), so memory grows with the number of threads,
+    not of trials.  Chunk boundaries depend only on the shapes and the
+    trial count; a pool of ``min(workers, chunks)`` threads shares the
+    chunks, each a slice of the one key array.
     """
     if r + s >= min(F.shape):
         # The exact fallback ignores its seed; one evaluation serves all trials.
@@ -235,10 +241,11 @@ def _run_trials(F, r, s, trials, master_seed, workers=1) -> np.ndarray:
     scaled = sv[:, None] * Vt
     (k, b), l = scaled.shape, r + s
     step = max(1, CHUNK_ENTRIES // max(k * k, b * l))
-    chunks = [range(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
+    keys = derive_keys(master_seed, trials)
+    chunks = [keys[lo : lo + step] for lo in range(0, trials, step)]
 
-    def run(chunk: range) -> list[float]:
-        G = gaussian_matrices(b, l, [derive_seed(master_seed, i) for i in chunk])
+    def run(chunk: np.ndarray) -> list[float]:
+        G = keyed_gaussian_matrices(b, l, chunk)
         W = np.linalg.qr(scaled @ G)[0]
         # (W W^T - I) diag(sv) per trial, the diagonals subtracted in place
         R = W @ (W.transpose(0, 2, 1) * sv)
@@ -254,12 +261,15 @@ def _run_trials(F, r, s, trials, master_seed, workers=1) -> np.ndarray:
     return np.concatenate(errors)
 
 
-def _check_trial_args(F: np.ndarray, r: int, trials: int, mode: str, workers: int) -> None:
-    """Reject a bad rank, trial count, mode or worker count before any decomposition."""
+def _check_trial_args(F: np.ndarray, r: int, trials: int, seed: int, mode: str, workers: int) -> None:
+    """Reject a bad rank, trial count, seed, mode or worker count before any decomposition."""
     if r < 1 or r > min(F.shape):
         raise ValueError(f"target rank {r} out of range for {F.shape[0]}x{F.shape[1]}")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trials must be at most 2**32, got {trials}")
+    check_seed(seed)
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
     if mode not in MODES:
@@ -313,7 +323,7 @@ def monte_carlo(
     ``tail_energy`` and ``bound`` but never turns a satisfied verdict into
     a violated one.
     """
-    _check_trial_args(F, r, trials, mode, workers)
+    _check_trial_args(F, r, trials, master_seed, mode, workers)
     if s < 2:
         raise ValueError(f"oversampling must be at least 2, got {s}")
     spectrum = singular_values(F)
@@ -382,10 +392,11 @@ def _pinv_energies(r: int, s: int, trials: int, master_seed: int) -> np.ndarray:
     ``derive_seed(master_seed, i)``: the sum of 1/sigma^2 over the singular
     values above ``RANK_TOL * sigma_max``, from one batched SVD per chunk."""
     step = max(1, CHUNK_ENTRIES // (r * (r + s)))
+    keys = derive_keys(master_seed, trials)
     samples = np.empty(trials)
     for lo in range(0, trials, step):
         hi = min(lo + step, trials)
-        draws = gaussian_matrices(r, r + s, [derive_seed(master_seed, i) for i in range(lo, hi)])
+        draws = keyed_gaussian_matrices(r, r + s, keys[lo:hi])
         sv = np.linalg.svd(draws, compute_uv=False)
         inv2 = np.divide(1.0, sv**2, out=np.zeros_like(sv), where=sv > RANK_TOL * sv[:, :1])
         samples[lo:hi] = inv2.sum(axis=1)
@@ -404,6 +415,7 @@ def verify_gaussian_pinv_moment(r: int, s: int, trials: int, master_seed: int) -
         raise ValueError(f"oversampling must be at least 2, got {s}")
     if trials < 2:
         raise ValueError(f"need at least two trials for a standard error, got {trials}")
+    # derive_keys rejects a negative seed and more than 2**32 trials before any draw
     samples = _pinv_energies(r, s, trials, master_seed)
     estimate = float(samples.mean())
     se = float(samples.std(ddof=1) / math.sqrt(trials))
@@ -440,7 +452,7 @@ def beat_baseline_experiment(
     """
     if baseline not in BASELINES:
         raise ValueError(f"unknown baseline {baseline!r}, expected one of {sorted(BASELINES)}")
-    _check_trial_args(F, r, trials, mode, workers)
+    _check_trial_args(F, r, trials, master_seed, mode, workers)
     spectrum = singular_values(F)
     tau = effective_tail_energy(spectrum, r)
     base_err = approximation_error(F, BASELINES[baseline](F, r))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import frobenius_norm, gaussian_matrix, svd_factors, thin_qr
+from .core import check_seed, frobenius_norm, gaussian_matrix, svd_factors, thin_qr
 from .io import read_matrix_market, write_matrix_market
 
 __all__ = [
@@ -118,6 +118,7 @@ def factorize(F: np.ndarray, r: int, s: int, seed: int) -> FactoredApproximation
         raise ValueError(f"target rank {r} out of range for {a}x{b}")
     if s < 2:
         raise ValueError(f"oversampling must be at least 2, got {s}")
+    check_seed(seed)
     if r + s >= min(a, b):
         basis, _, _ = svd_factors(F)
         method = METHOD_EXACT_FALLBACK

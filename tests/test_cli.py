@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from randlr.cli import main
+from randlr.core import thin_qr
+from randlr.experiments import CHUNK_ENTRIES
 from randlr.io import read_matrix, write_csv, write_matrix_market
 from randlr.rangefinder import load_factored
 
@@ -128,11 +130,52 @@ def test_bench_deterministic_output(capsys, bench_matrix):
 
 
 def test_bench_parallel_identical(capsys, bench_matrix):
+    # 20x16 input: k*k = 256 entries per trial, so 300 trials make three chunks and a pool
+    assert math.ceil(300 / (CHUNK_ENTRIES // (16 * 16))) == 3
     base = ["bench", bench_matrix, "--rank", "2", "--oversample", "4",
-            "--trials", "16", "--seed", "5"]
+            "--trials", "300", "--seed", "5"]
     _, serial, _ = run_cli(capsys, base + ["--workers", "1"])
     _, threaded, _ = run_cli(capsys, base + ["--workers", "4"])
     assert serial == threaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["approx", "{m}", "--rank", "2", "--oversample", "3", "--out-prefix", "{d}/fa"],
+    ["bench", "{m}", "--rank", "2", "--oversample", "3", "--trials", "4"],
+    ["beat", "{m}", "--rank", "2", "--baseline", "colsel", "--trials", "4"],
+    ["gen", "spectrum", "--dims", "6", "5", "--values", "1", "--out", "{d}/g.mtx"],
+    ["gen", "signal-noise", "--dims", "6", "5", "--signal-rank", "1", "--noise-level", "0.1",
+     "--out", "{d}/g.mtx"],
+    ["moment", "--r", "2", "--s", "3", "--trials", "10"],
+], ids=["approx", "bench", "beat", "gen-spectrum", "gen-signal-noise", "moment"])
+def test_negative_seed_is_one_error_line(capsys, tmp_path, bench_matrix, argv):
+    argv = [a.format(m=bench_matrix, d=tmp_path) for a in argv] + ["--seed", "-1"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1 and out == ""
+    assert err == "error: seed must be a non-negative integer, got -1\n"
+    assert not list(tmp_path.glob("g.mtx")) and not list(tmp_path.glob("fa*"))
+
+
+def test_bench_trials_past_one_spawn_word_is_one_error_line(capsys, bench_matrix):
+    argv = ["bench", bench_matrix, "--rank", "2", "--oversample", "3", "--trials", str(2**32 + 1),
+            "--seed", "1"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: trials must be at most 2**32") and err.count("\n") == 1
+
+
+def test_approx_seed_past_64_bits_keeps_numpys_stream(capsys, tmp_path, bench_matrix):
+    prefix = str(tmp_path / "big")
+    argv = ["approx", bench_matrix, "--rank", "2", "--oversample", "3", "--seed", str(2**70),
+            "--out-prefix", prefix]
+    assert run_cli(capsys, argv)[0] == 0
+    # the sketch's Gaussian: numpy's Philox stream for the seed, Box-Muller, column-major
+    u = np.random.Generator(np.random.Philox(np.random.SeedSequence(2**70))).random((2, 40))
+    radius, angle = np.sqrt(-2.0 * np.log1p(-u[0])), 2.0 * np.pi * u[1]
+    G = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)]).reshape((16, 5), order="F")
+    fa = load_factored(prefix)
+    assert fa.seed == 2**70
+    assert np.array_equal(fa.basis, thin_qr(read_matrix(bench_matrix) @ G)[0])
 
 
 def test_non_positive_workers_is_one_error_line(capsys, bench_matrix):

@@ -5,13 +5,18 @@ import math
 import numpy as np
 import pytest
 
+import randlr.core
 from randlr.core import (
+    MAX_TRIALS,
     SingularSpectrum,
     as_matrix,
+    check_seed,
+    derive_keys,
     derive_seed,
     frobenius_norm,
     gaussian_matrices,
     gaussian_matrix,
+    keyed_gaussian_matrices,
     pseudoinverse,
     singular_values,
     svd_factors,
@@ -135,6 +140,77 @@ def test_gaussian_substreams_independent():
     a = gaussian_matrix(4, 4, derive_seed(9, 0))
     b = gaussian_matrix(4, 4, derive_seed(9, 1))
     assert not np.array_equal(a, b)
+
+
+# --- seeding against numpy's SeedSequence ------------------------------------
+
+# 2**130 + 12345 has five uint32 words, one more than SeedSequence's pool.
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**130 + 12345]
+
+
+def numpy_derive_seed(master_seed, index):
+    return int(np.random.SeedSequence(master_seed, spawn_key=(index,)).generate_state(1, np.uint64)[0])
+
+
+def numpy_philox_key(seed):
+    return np.random.SeedSequence(seed).generate_state(2, np.uint64)
+
+
+def test_derive_seed_matches_numpy():
+    rng = np.random.default_rng(20)
+    masters = EDGE_SEEDS + [int(m) for m in rng.integers(0, 2**63, 30)]
+    # indices at and above 2**32 take a second spawn word, as in numpy
+    indices = [0, 1, 2**32 - 1, 2**32, 2**40 + 3] + [int(i) for i in rng.integers(0, 2**32, 300)]
+    pairs = [(m, i) for m in masters for i in indices]
+    assert len(pairs) >= 10**4
+    for m, i in pairs:
+        assert derive_seed(m, i) == numpy_derive_seed(m, i), (m, i)
+
+
+@pytest.mark.parametrize("master_seed", EDGE_SEEDS + [987654321])
+def test_derive_keys_match_numpy(master_seed):
+    keys = derive_keys(master_seed, 1500)  # 7 x 1500 keys in all
+    assert keys.shape == (1500, 2) and keys.dtype == np.uint64
+    for i, key in enumerate(keys):
+        assert np.array_equal(key, numpy_philox_key(numpy_derive_seed(master_seed, i))), i
+
+
+def test_philox_keys_match_numpy():
+    rng = np.random.default_rng(21)
+    seeds = EDGE_SEEDS + [2**70, 2**200 + 5] + [int(s) for s in rng.integers(0, 2**64, 10**4, dtype=np.uint64)]
+    for seed in seeds:
+        assert np.array_equal(np.array(randlr.core._philox_key(seed), dtype=np.uint64), numpy_philox_key(seed)), seed
+
+
+@pytest.mark.parametrize("count", [1, 50])
+@pytest.mark.parametrize("rows,cols", [(1, 1), (7, 3), (5, 9)])  # odd entry counts: Box-Muller padding
+def test_keyed_stack_matches_numpy_streams(rows, cols, count):
+    stack = keyed_gaussian_matrices(rows, cols, derive_keys(77, count))
+    assert stack.shape == (count, rows, cols)
+    for i, G in enumerate(stack):
+        assert np.array_equal(G, frozen_gaussian_matrix(rows, cols, derive_seed(77, i)))
+
+
+def test_derive_keys_rejects_indices_past_one_spawn_word():
+    assert derive_keys(3, 0).shape == (0, 2)
+    with pytest.raises(ValueError, match="trials"):
+        derive_keys(3, MAX_TRIALS + 1)  # raises before allocating the indices
+
+
+@pytest.mark.parametrize("call", [
+    lambda: check_seed(-1),
+    lambda: derive_seed(-1, 0),
+    lambda: derive_keys(-5, 3),
+    lambda: gaussian_matrix(2, 2, -1),
+])
+def test_negative_seed_is_rejected_by_name(call):
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        call()
+
+
+def test_negative_index_is_rejected_by_name():
+    with pytest.raises(ValueError, match="index must be a non-negative integer"):
+        derive_seed(1, -1)
 
 
 # --- thin_qr ----------------------------------------------------------------

@@ -153,6 +153,8 @@ def test_generator_spec_validation():
         GeneratorSpec(dims=(0, 5), kind=KIND_PRESCRIBED, spectrum=(1.0,))
     with pytest.raises(ValueError):
         GeneratorSpec(dims=(5, 5), kind="mystery")
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        GeneratorSpec(dims=(5, 5), kind=KIND_PRESCRIBED, spectrum=(1.0,), seed=-1)
 
 
 # --- monte_carlo ---------------------------------------------------------------
@@ -197,8 +199,10 @@ def test_monte_carlo_statistics_recomputable():
 
 def test_monte_carlo_parallel_schedule_identical():
     F = prescribed((30, 30), tuple(0.6**i for i in range(9)), seed=12)
-    serial = monte_carlo(F, 3, 3, 24, master_seed=42, workers=1)
-    threaded = monte_carlo(F, 3, 3, 24, master_seed=42, workers=4)
+    # k*k = 900 entries per trial: 80 trials make three chunks, so four workers start a pool
+    assert math.ceil(80 / (randlr.experiments.CHUNK_ENTRIES // (30 * 30))) == 3
+    serial = monte_carlo(F, 3, 3, 80, master_seed=42, workers=1)
+    threaded = monte_carlo(F, 3, 3, 80, master_seed=42, workers=4)
     assert serial.to_json() == threaded.to_json()
 
 
@@ -325,6 +329,41 @@ def test_monte_carlo_validates_before_decomposing(monkeypatch):
             monte_carlo(F, r, s, trials, master_seed=1, mode=mode)
     with pytest.raises(ValueError):
         beat_baseline_experiment(F, 7, METHOD_COLUMN_SELECT, 5, master_seed=1)
+
+
+def forbid_decomposition(monkeypatch):
+    def no_svd(*_, **__):
+        raise AssertionError("decomposed before validation")
+
+    monkeypatch.setattr(randlr.experiments, "singular_values", no_svd)
+    monkeypatch.setattr(randlr.experiments, "svd_factors", no_svd)
+    monkeypatch.setattr(np.linalg, "svd", no_svd)  # the moment's batched SVD
+
+
+def test_negative_seed_rejected_before_decomposing(monkeypatch):
+    forbid_decomposition(monkeypatch)
+    F = np.eye(6)
+    for call in (
+        lambda: monte_carlo(F, 1, 2, 5, master_seed=-1),
+        lambda: monte_carlo(F, 1, 5, 5, master_seed=-1),  # exact fallback
+        lambda: beat_baseline_experiment(F, 1, METHOD_COLUMN_SELECT, 5, master_seed=-1),
+        lambda: verify_gaussian_pinv_moment(2, 3, 10, master_seed=-1),
+    ):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            call()
+
+
+def test_trials_past_one_spawn_word_rejected_before_decomposing(monkeypatch):
+    # trial indices must stay below 2**32; nothing of size 2**32 is allocated
+    forbid_decomposition(monkeypatch)
+    F = np.eye(6)
+    for call in (
+        lambda: monte_carlo(F, 1, 2, 2**32 + 1, master_seed=1),
+        lambda: beat_baseline_experiment(F, 1, METHOD_COLUMN_SELECT, 2**32 + 1, master_seed=1),
+        lambda: verify_gaussian_pinv_moment(2, 3, 2**32 + 1, master_seed=1),
+    ):
+        with pytest.raises(ValueError, match="trials must be at most 2\\*\\*32"):
+            call()
 
 
 @pytest.mark.parametrize("workers", [0, -3])

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import randlr.rangefinder
 from randlr.core import derive_seed, frobenius_norm, gaussian_matrix, singular_values, thin_qr
 from randlr.planner import tail_energy
 from randlr.rangefinder import (
@@ -135,6 +136,17 @@ def test_factorize_validates_arguments():
         factorize(F, 6, 2, 1)  # r > min(a, b)
     with pytest.raises(ValueError):
         factorize(F, 2, 1, 1)  # s < 2
+
+
+def test_factorize_rejects_negative_seed_before_decomposing(monkeypatch):
+    def no_work(*_):
+        raise AssertionError("F decomposed before validation")
+
+    monkeypatch.setattr(randlr.rangefinder, "svd_factors", no_work)
+    monkeypatch.setattr(randlr.rangefinder, "sketch", no_work)
+    for s in (2, 5):  # the sketched path and the exact fallback
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            factorize(np.eye(6), 1, s, -1)
 
 
 def test_factorize_basis_always_orthonormal():
