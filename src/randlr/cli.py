@@ -9,6 +9,7 @@ with a ``schema_version`` field and deterministic key order.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -160,6 +161,9 @@ def _cmd_moment(args) -> int:
     return EXIT_OK
 
 
+# Built once per process: argparse keeps no state between parse_args calls,
+# and in-process callers of main would otherwise rebuild it every call.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="randlr",

@@ -22,7 +22,6 @@ from .core import (
     check_seed,
     derive_keys,
     derive_seed,
-    frobenius_norm,
     gaussian_matrix,
     keyed_gaussian_matrices,
     singular_values,
@@ -223,14 +222,28 @@ def _run_trials(F, r, s, trials, master_seed, workers=1) -> np.ndarray:
     diag(sv)||``: a k x l problem instead of an a x b one.  W's sign
     convention does not matter, because only ``W W^T`` enters.
 
+    The residual is split at column l.  Its first l columns, ``W (W[:l]^T
+    diag(sv[:l])) - diag(sv[:l])``, are formed (k x l).  Column j >= l,
+    ``sv_j (W W^T - I) e_j``, adds its squared norm ``sv_j^2 (1 -
+    ||W[j]||^2)`` without being formed.  A trial costs O(k l^2), not
+    O(k^2 l), and its error is the Frobenius norm of the whole residual up
+    to rounding.  The tail terms are accurate: each is off by at most
+    about (l + 3) eps sv_j^2, and by Eckart-Young the squared error of any
+    rank-l basis is at least ``sum_{j>=l} sv_j^2``, so their rounding stays
+    below about (l + 3) eps times the squared error.  Every per-trial sum
+    runs along rows, never through a matrix-vector product (BLAS may block
+    that by the chunk's length), so a trial's bits do not depend on its
+    chunk.
+
     Every trial's Philox key is derived up front in one pass
     (:func:`derive_keys`).  Trials run in chunks of consecutive indices,
     each one stacked draw, product, QR and residual.  Every stacked array
-    of a chunk holds at most ``CHUNK_ENTRIES`` doubles (one trial per chunk
-    when a trial needs more), so memory grows with the number of threads,
-    not of trials.  Chunk boundaries depend only on the shapes and the
-    trial count; a pool of ``min(workers, chunks)`` threads shares the
-    chunks, each a slice of the one key array.
+    of a chunk is at most b x l per trial (k <= b) and holds at most
+    ``CHUNK_ENTRIES`` doubles (one trial per chunk when a trial needs
+    more), so memory grows with the number of threads, not of trials.
+    Chunk boundaries depend only on the shapes and the trial count; a pool
+    of ``min(workers, chunks)`` threads shares the chunks, each a slice of
+    the one key array.
     """
     if r + s >= min(F.shape):
         # The exact fallback ignores its seed; one evaluation serves all trials.
@@ -239,18 +252,21 @@ def _run_trials(F, r, s, trials, master_seed, workers=1) -> np.ndarray:
 
     _, sv, Vt = svd_factors(F)
     scaled = sv[:, None] * Vt
-    (k, b), l = scaled.shape, r + s
-    step = max(1, CHUNK_ENTRIES // max(k * k, b * l))
+    b, l = F.shape[1], r + s
+    step = max(1, CHUNK_ENTRIES // (b * l))
     keys = derive_keys(master_seed, trials)
     chunks = [keys[lo : lo + step] for lo in range(0, trials, step)]
+    tail2 = sv[l:] ** 2
 
-    def run(chunk: np.ndarray) -> list[float]:
+    def run(chunk: np.ndarray) -> np.ndarray:
         G = keyed_gaussian_matrices(b, l, chunk)
         W = np.linalg.qr(scaled @ G)[0]
-        # (W W^T - I) diag(sv) per trial, the diagonals subtracted in place
-        R = W @ (W.transpose(0, 2, 1) * sv)
-        R.reshape(len(chunk), -1)[:, :: k + 1] -= sv
-        return [frobenius_norm(residual) for residual in R]
+        # (W W^T - I) diag(sv) in its first l columns, the diagonal subtracted in place
+        top = W @ (W[:, :l].transpose(0, 2, 1) * sv[:l])
+        top.reshape(len(chunk), -1)[:, : l * l : l + 1] -= sv[:l]
+        rows = np.einsum("nji,nji->nj", W[:, l:], W[:, l:])
+        tail = np.einsum("nj,j->n", 1.0 - rows, tail2)  # rounding may leave it just below 0
+        return np.sqrt(np.einsum("nij,nij->n", top, top) + np.maximum(tail, 0.0))
 
     threads = min(workers, len(chunks))
     if threads == 1:

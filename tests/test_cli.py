@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from randlr import cli
 from randlr.cli import main
 from randlr.core import thin_qr
 from randlr.experiments import CHUNK_ENTRIES
@@ -130,10 +131,10 @@ def test_bench_deterministic_output(capsys, bench_matrix):
 
 
 def test_bench_parallel_identical(capsys, bench_matrix):
-    # 20x16 input: k*k = 256 entries per trial, so 300 trials make three chunks and a pool
-    assert math.ceil(300 / (CHUNK_ENTRIES // (16 * 16))) == 3
+    # 20x16 input: b*(r+s) = 96 entries per trial, so 700 trials make three chunks and a pool
+    assert math.ceil(700 / (CHUNK_ENTRIES // (16 * (2 + 4)))) == 3
     base = ["bench", bench_matrix, "--rank", "2", "--oversample", "4",
-            "--trials", "300", "--seed", "5"]
+            "--trials", "700", "--seed", "5"]
     _, serial, _ = run_cli(capsys, base + ["--workers", "1"])
     _, threaded, _ = run_cli(capsys, base + ["--workers", "4"])
     assert serial == threaded
@@ -418,3 +419,28 @@ def test_usage_error_is_exit_one_not_two(capsys, diag_csv):
     assert code == 1
     code, _, _ = run_cli(capsys, ["--help"])
     assert code == 0
+
+
+def test_main_calls_in_one_process_match_calls_alone(capsys, diag_csv, bench_matrix):
+    # main builds its parser once per process; no parse may leak into the next
+    bench = ["bench", bench_matrix, "--rank", "2", "--oversample", "3", "--trials", "4", "--seed", "5"]
+    calls = [
+        ["plan", diag_csv, "--rank", "1", "--epsilon", "3", "--mode", "literal"],
+        ["plan", diag_csv, "--rank", "1", "--epsilon", "3"],  # --mode left at its default
+        bench + ["--mode", "literal", "--workers", "2"],
+        ["approx", diag_csv, "--rank", "1"],  # usage error: required options missing
+        bench,
+        ["spectrum", diag_csv, "--bogus-flag"],
+        ["moment", "--r", "2", "--s", "3", "--trials", "20", "--seed", "1"],
+        ["plan", diag_csv, "--rank", "1", "--epsilon", "3"],
+    ]
+    alone = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        alone.append(run_cli(capsys, argv))
+    cli._build_parser.cache_clear()
+    together = [run_cli(capsys, argv) for argv in calls]
+    assert together == alone
+    assert cli._build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in alone] == [2, 2, 0, 1, 0, 1, 0, 2]
+    assert alone[0][1] != alone[1][1] and alone[2][1] != alone[4][1]

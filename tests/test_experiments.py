@@ -13,6 +13,7 @@ from randlr.core import (
     derive_seed,
     frobenius_norm,
     gaussian_matrix,
+    keyed_gaussian_matrices,
     pseudoinverse,
     singular_values,
     svd_factors,
@@ -199,10 +200,10 @@ def test_monte_carlo_statistics_recomputable():
 
 def test_monte_carlo_parallel_schedule_identical():
     F = prescribed((30, 30), tuple(0.6**i for i in range(9)), seed=12)
-    # k*k = 900 entries per trial: 80 trials make three chunks, so four workers start a pool
-    assert math.ceil(80 / (randlr.experiments.CHUNK_ENTRIES // (30 * 30))) == 3
-    serial = monte_carlo(F, 3, 3, 80, master_seed=42, workers=1)
-    threaded = monte_carlo(F, 3, 3, 80, master_seed=42, workers=4)
+    # b*(r+s) = 180 entries per trial: 400 trials make three chunks, so four workers start a pool
+    assert math.ceil(400 / (randlr.experiments.CHUNK_ENTRIES // (30 * (3 + 3)))) == 3
+    serial = monte_carlo(F, 3, 3, 400, master_seed=42, workers=1)
+    threaded = monte_carlo(F, 3, 3, 400, master_seed=42, workers=4)
     assert serial.to_json() == threaded.to_json()
 
 
@@ -234,24 +235,55 @@ def test_run_trials_matches_factorize(name, workers):
     assert np.abs(errors - expected).max() <= 1e-13 * frobenius_norm(F)
 
 
+def times_power_of_two(case, exponent):
+    F, r, s = TRIAL_CASES[case]()
+    return np.ldexp(F, exponent), r, s
+
+
 ENGINE_CASES = {
     **TRIAL_CASES,
     "square-1/i-200": lambda: (prescribed((200, 200), tuple(1.0 / i for i in range(1, 201)), seed=7), 10, 19),
+    # l = 10 unit singular values, sv_11 just below them, then 1e-12 dust: the tail
+    # formula's hardest case, nearly all of the tail in one column the basis almost holds
+    "cliff": lambda: (prescribed((120, 80), (1.0,) * 10 + (1.0 - 1e-9,) + (1e-12,) * 69, seed=8), 6, 4),
+    "graded-times-2^330": lambda: times_power_of_two("graded", 330),
+    "tall-times-2^-330": lambda: times_power_of_two("tall", -330),
 }
 
 
 def per_trial_errors(F, r, s, trials, master_seed):
-    """The trial engine one trial at a time: ``||(W W^T - I) diag(sv)||_F`` with
-    ``W = orth(diag(sv) Vt G_i)``, evaluated in the engine's order."""
+    """The trial engine one trial at a time, evaluated in the engine's order: with
+    ``W = orth(diag(sv) Vt G_i)``, the residual's first l columns are formed and
+    column j >= l adds ``sv_j^2 (1 - ||W[j]||^2)``."""
     _, sv, Vt = svd_factors(F)
     scaled = sv[:, None] * Vt
+    l = r + s
     errors = []
     for i in range(trials):
-        W = build_basis(sketch(scaled, r + s, derive_seed(master_seed, i)))
-        residual = W @ (W.T * sv)
-        residual.flat[:: len(sv) + 1] -= sv
-        errors.append(frobenius_norm(residual))
+        W = build_basis(sketch(scaled, l, derive_seed(master_seed, i)))
+        top = W @ (W[:l].T * sv[:l])
+        top.flat[: l * l : l + 1] -= sv[:l]
+        rows = np.einsum("ji,ji->j", W[l:], W[l:])
+        tail = np.einsum("j,j->", 1.0 - rows, sv[l:] ** 2)
+        errors.append(np.sqrt(np.einsum("ij,ij->", top, top) + max(tail, 0.0)))
     return np.array(errors)
+
+
+def full_residual_errors(F, r, s, trials, master_seed):
+    """Independent oracle: ``||(W W^T - I) diag(sv)||_F`` from the whole k x k residual."""
+    _, sv, Vt = svd_factors(F)
+    errors = []
+    for i in range(trials):
+        W = build_basis(sketch(sv[:, None] * Vt, r + s, derive_seed(master_seed, i)))
+        errors.append(frobenius_norm(W @ (W.T * sv) - np.diag(sv)))
+    return np.array(errors)
+
+
+@pytest.mark.parametrize("name", list(ENGINE_CASES))
+def test_run_trials_matches_full_residual(name):
+    F, r, s = ENGINE_CASES[name]()
+    errors = randlr.experiments._run_trials(F, r, s, 40, 31)
+    assert np.abs(errors - full_residual_errors(F, r, s, 40, 31)).max() <= 1e-14 * frobenius_norm(F)
 
 
 @pytest.mark.parametrize("name", list(ENGINE_CASES))
@@ -261,13 +293,26 @@ def test_run_trials_chunks_and_workers_do_not_change_errors(monkeypatch, name):
     reference = per_trial_errors(F, r, s, 97, 31)
     assert np.array_equal(run(F, r, s, 97, 31), reference)
     # 8 trials per chunk: 97 trials leave a one-trial tail chunk
-    trial_entries = max(min(F.shape) ** 2, F.shape[1] * (r + s))
-    monkeypatch.setattr(randlr.experiments, "CHUNK_ENTRIES", 8 * trial_entries)
+    monkeypatch.setattr(randlr.experiments, "CHUNK_ENTRIES", 8 * F.shape[1] * (r + s))
     for workers in (1, 2, 3):
         assert np.array_equal(run(F, r, s, 97, 31, workers), reference)
     monkeypatch.setattr(randlr.experiments, "CHUNK_ENTRIES", 1)  # one trial per chunk
     for workers in (1, 2, 3):
         assert np.array_equal(run(F, r, s, 97, 31, workers), reference)
+
+
+def test_square_input_chunks_by_b_times_l(monkeypatch):
+    # 200 x 200 at l = 20: 8 trials of b*l = 4,000 entries per chunk, so 25 draws for 200 trials
+    calls = []
+
+    def counting(rows, cols, keys):
+        calls.append(len(keys))
+        return keyed_gaussian_matrices(rows, cols, keys)
+
+    monkeypatch.setattr(randlr.experiments, "keyed_gaussian_matrices", counting)
+    F = prescribed((200, 200), tuple(1.0 / i for i in range(1, 201)), seed=7)
+    randlr.experiments._run_trials(F, 10, 10, 200, 31)
+    assert calls == [8] * 25
 
 
 def test_pool_threads_bounded_by_chunks(monkeypatch):
@@ -283,7 +328,7 @@ def test_pool_threads_bounded_by_chunks(monkeypatch):
     serial = randlr.experiments._run_trials(F, r, s, 12, 31)
     assert np.array_equal(randlr.experiments._run_trials(F, r, s, 12, 31, 10**6), serial)
     assert requested == []  # one chunk: no pool at all
-    monkeypatch.setattr(randlr.experiments, "CHUNK_ENTRIES", 5 * 40 * 40)  # 5 trials per chunk
+    monkeypatch.setattr(randlr.experiments, "CHUNK_ENTRIES", 5 * 40 * (r + s))  # 5 trials per chunk
     assert np.array_equal(randlr.experiments._run_trials(F, r, s, 12, 31, 10**6), serial)
     assert requested == [3]
 
