@@ -7,6 +7,7 @@ prints).  Every tolerance is pinned here, not configurable.
 
 import itertools
 import json
+import math
 import subprocess
 import sys
 import time
@@ -16,6 +17,7 @@ import numpy as np
 from randlr.baselines import truncated_svd
 from randlr.core import derive_seed, frobenius_norm, pseudoinverse, singular_values, thin_qr
 from randlr.experiments import (
+    CHUNK_ENTRIES,
     KIND_PRESCRIBED,
     KIND_SIGNAL_NOISE,
     VERDICT_NOT_APPLICABLE,
@@ -213,6 +215,9 @@ def test_criterion_6_kernel_correctness():
 def test_criterion_7_bench_determinism(tmp_path):
     """`bench` emits byte-identical JSON across runs and worker counts."""
     failures = []
+    # b*(r+s) = 25*7 entries per trial, so 400 trials make three chunks and
+    # the --workers 4 run starts a pool
+    assert math.ceil(400 / (CHUNK_ENTRIES // (25 * (4 + 3)))) == 3
     rng = np.random.default_rng(1717)
     matrix_path = tmp_path / "det.mtx"
     write_matrix_market(matrix_path, rng.standard_normal((30, 25)))
@@ -220,7 +225,7 @@ def test_criterion_7_bench_determinism(tmp_path):
     def run_bench(workers):
         cmd = [
             sys.executable, "-m", "randlr.cli", "bench", str(matrix_path),
-            "--rank", "4", "--oversample", "3", "--trials", "60",
+            "--rank", "4", "--oversample", "3", "--trials", "400",
             "--seed", "321", "--workers", str(workers),
         ]
         proc = subprocess.run(cmd, capture_output=True, check=False)
@@ -237,7 +242,7 @@ def test_criterion_7_bench_determinism(tmp_path):
         failures.append("parallel trial execution changes the report")
     try:
         payload = json.loads(first)
-        if len(payload["per_trial_errors"]) != 60:
+        if len(payload["per_trial_errors"]) != 400:
             failures.append("wrong trial count in report")
     except (json.JSONDecodeError, KeyError) as exc:
         failures.append(f"report not parseable: {exc}")

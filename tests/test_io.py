@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -126,3 +127,106 @@ def test_import_randlr_does_not_load_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\nFalse\n"
+
+
+def _fmm():
+    import scipy.io._fast_matrix_market as fmm
+    return fmm
+
+
+def _spy_threads(monkeypatch, name):
+    """Record scipy's Matrix Market thread count during each scipy.io.<name> call."""
+    import scipy.io
+
+    seen = []
+    real = getattr(scipy.io, name)
+
+    def spy(*args, **kwargs):
+        seen.append(_fmm().PARALLELISM)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.io, name, spy)
+    return seen
+
+
+def test_matrix_market_threads_follow_affinity(tmp_path, monkeypatch, awkward_matrix):
+    # scipy's default starts one thread per machine CPU; a process pinned to one CPU gets one
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(_fmm(), "PARALLELISM", 0)
+    reads, writes = _spy_threads(monkeypatch, "mmread"), _spy_threads(monkeypatch, "mmwrite")
+    path = tmp_path / "m.mtx"
+    write_matrix_market(path, awkward_matrix)
+    assert np.array_equal(read_matrix_market(path), awkward_matrix)
+    assert writes == [1] and reads == [1]
+    assert _fmm().PARALLELISM == 0
+
+
+def test_matrix_market_threads_keep_callers_lower_limit(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(_fmm(), "PARALLELISM", 2)
+    writes = _spy_threads(monkeypatch, "mmwrite")
+    write_matrix_market(tmp_path / "m.mtx", np.eye(3))
+    assert writes == [2]
+    assert _fmm().PARALLELISM == 2
+
+
+def test_matrix_market_threads_restored_after_failed_read(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(_fmm(), "PARALLELISM", 0)
+    reads = _spy_threads(monkeypatch, "mmread")
+    path = tmp_path / "bad.mtx"
+    path.write_text("%%MatrixMarket matrix array real general\n2 2\n1.0\nnot-a-number\n")
+    with pytest.raises(ValueError):
+        read_matrix_market(path)
+    assert reads == [1]
+    assert _fmm().PARALLELISM == 0
+
+
+def test_matrix_market_output_independent_of_threads(tmp_path, monkeypatch):
+    M = np.random.default_rng(5).standard_normal((3000, 40))
+    paths = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+        writes = _spy_threads(monkeypatch, "mmwrite")
+        path = tmp_path / f"m{len(cpus)}.mtx"
+        write_matrix_market(path, M)
+        assert writes == [len(cpus)]
+        paths.append(path)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+        assert np.array_equal(read_matrix_market(paths[0]), M)
+
+
+def test_matrix_market_threads_restored_under_concurrent_calls(tmp_path, monkeypatch):
+    # Without the lock, one call can save another's value and restore it last.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(_fmm(), "PARALLELISM", 0)
+    reads, writes = _spy_threads(monkeypatch, "mmread"), _spy_threads(monkeypatch, "mmwrite")
+    M = np.arange(12.0).reshape(4, 3)
+    errors = []
+
+    def work(i):
+        try:
+            for j in range(20):
+                path = tmp_path / f"m{i}_{j}.mtx"
+                write_matrix_market(path, M)
+                if not np.array_equal(read_matrix_market(path), M):
+                    errors.append(f"thread {i} call {j} read back wrong values")
+        except Exception as exc:  # reported below; a raising thread would otherwise pass silently
+            errors.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert reads == [1] * 120 and writes == [1] * 120
+    assert _fmm().PARALLELISM == 0
