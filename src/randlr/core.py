@@ -13,11 +13,11 @@ the conventions the rest of the package and its tests rely on:
 * :func:`pseudoinverse` -- singular values below ``RANK_TOL * sigma_max``
   count as zero.
 
-Sampling stays in-house: :func:`keyed_gaussian_matrices` applies the
-Box-Muller transform over numpy's counter-based Philox generator, so every
-(rows, cols, seed) triple is reproducible, whether drawn alone or in a
-stack, and independent substreams can be derived with :func:`derive_seed`.
-The streams are numpy's own: a seed's Philox key is
+Sampling is numpy's: seed ``x`` draws numpy's ziggurat
+``standard_normal`` from ``Philox(SeedSequence(x))``, so every (rows, cols,
+seed) triple is reproducible, whether drawn alone (:func:`gaussian_matrix`)
+or in a stack (:func:`keyed_gaussian_matrices`), and independent substreams
+are derived with :func:`derive_seed`.  A stack is drawn from Philox keys,
 ``SeedSequence(seed).generate_state(2, np.uint64)``.  randlr computes
 numpy's SeedSequence hash itself, on Python ints for one seed and on uint64
 arrays for a batch, so :func:`derive_keys` derives every trial's key in one
@@ -42,7 +42,6 @@ __all__ = [
     "derive_seed",
     "derive_keys",
     "gaussian_matrix",
-    "gaussian_matrices",
     "keyed_gaussian_matrices",
     "thin_qr",
     "svd_factors",
@@ -57,8 +56,11 @@ RANK_TOL = 1e-12
 
 
 def as_matrix(values, name: str = "matrix") -> np.ndarray:
-    """Coerce ``values`` to a float64 2-D array, rejecting NaN/Inf entries."""
-    arr = np.array(values, dtype=np.float64)
+    """Coerce ``values`` to a float64 2-D array, rejecting complex and NaN/Inf entries."""
+    arr = np.asarray(values)
+    if np.iscomplexobj(arr):  # a float64 cast would drop the imaginary part with only a warning
+        raise ValueError(f"{name} has complex entries; randlr handles real matrices only")
+    arr = np.array(arr, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got array of shape {arr.shape}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -152,16 +154,12 @@ def derive_seed(master_seed: int, index: int) -> int:
     return lo | hi << 32
 
 
-#: Identifier for the substream derivation above; recorded in reports.
-SEED_MIX = "seedsequence-spawn/v1"
+#: Identifier for the substream derivation above and the sampler that draws
+#: from it, recorded in reports; it changes whenever the drawn numbers do.
+SEED_MIX = "seedsequence-spawn/v2"
 
 #: Trial indices must fit in one uint32 spawn word for :func:`derive_keys`.
 MAX_TRIALS = 1 << 32
-
-
-def _key_from_words(w: list):
-    """Two 64-bit Philox key words from four little-endian uint32 words."""
-    return w[0] | w[1] << 32, w[2] | w[3] << 32
 
 
 def derive_keys(master_seed: int, count: int) -> np.ndarray:
@@ -176,12 +174,8 @@ def derive_keys(master_seed: int, count: int) -> np.ndarray:
         raise ValueError(f"trials must be at most 2**32, got {count}")
     index = np.arange(count, dtype=np.uint64)
     seed_words = _seed_sequence(_spawn_entropy(master_seed, [index]), 2)
-    return np.stack(_key_from_words(_seed_sequence(seed_words, 4)), axis=1)
-
-
-def _philox_key(seed: int) -> tuple[int, int]:
-    """``SeedSequence(seed).generate_state(2, np.uint64)`` in Python ints."""
-    return _key_from_words(_seed_sequence(_seed_words(seed), 4))
+    w = _seed_sequence(seed_words, 4)  # little-endian uint32 halves of the two key words
+    return np.stack([w[0] | w[1] << 32, w[2] | w[3] << 32], axis=1)
 
 
 @cache
@@ -198,23 +192,25 @@ def _unkeyed():
     return Unkeyed()
 
 
+def _check_dims(rows: int, cols: int) -> None:
+    if rows < 1 or cols < 1:
+        raise ValueError(f"dimensions must be positive, got {rows}x{cols}")
+
+
 def keyed_gaussian_matrices(rows: int, cols: int, keys) -> np.ndarray:
     """Stack of ``len(keys)`` rows x cols standard normal matrices, one per
     Philox key (a pair of uint64 words, as from :func:`derive_keys`).
 
     One Philox bit generator serves the call: each matrix sets its key at
     counter 0, which is the stream of ``Philox(SeedSequence(seed))`` for the
-    seed the key came from, and fills its uniform doubles.  One Box-Muller
-    pass over the whole stack turns pairs of them into normals.  Entries
-    fill each matrix column by column, so matrix j depends on ``keys[j]``
-    alone.
+    seed the key came from, and draws numpy's ziggurat normals column by
+    column.  Matrix j is therefore :func:`gaussian_matrix` of that seed, bit
+    for bit, and depends on ``keys[j]`` alone.
     """
-    if rows < 1 or cols < 1:
-        raise ValueError(f"dimensions must be positive, got {rows}x{cols}")
-    n = rows * cols
-    u = np.empty((len(keys), 2, (n + 1) // 2))
+    _check_dims(rows, cols)
+    z = np.empty((len(keys), cols, rows))
     bits = np.random.Philox(_unkeyed())
-    uniform = np.random.Generator(bits)
+    normal = np.random.Generator(bits)
     state = {
         "bit_generator": "Philox",
         "state": {"counter": (0, 0, 0, 0), "key": None},
@@ -223,29 +219,21 @@ def keyed_gaussian_matrices(rows: int, cols: int, keys) -> np.ndarray:
         "has_uint32": 0,
         "uinteger": 0,
     }
-    for out, key in zip(u, keys):
+    for out, key in zip(z, keys):
         state["state"]["key"] = key
         bits.state = state
-        uniform.random(out=out)
-    radius = np.sqrt(-2.0 * np.log1p(-u[:, 0]))  # log(1 - u) keeps the argument in (0, 1]
-    angle = (2.0 * np.pi) * u[:, 1]
-    z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
-    return z[:, :n].reshape(-1, cols, rows).transpose(0, 2, 1)
-
-
-def gaussian_matrices(rows: int, cols: int, seeds) -> np.ndarray:
-    """Stack of ``len(seeds)`` rows x cols standard normal matrices, one per
-    seed: :func:`keyed_gaussian_matrices` on the seeds' Philox keys, so
-    matrix j draws numpy's stream ``Philox(SeedSequence(seeds[j]))``.  Each
-    key is hashed in Python ints; :func:`derive_keys` hashes a whole run's
-    trial keys in one numpy pass instead."""
-    return keyed_gaussian_matrices(rows, cols, [_philox_key(seed) for seed in seeds])
+        normal.standard_normal(out=out)
+    return z.transpose(0, 2, 1)
 
 
 def gaussian_matrix(rows: int, cols: int, seed: int) -> np.ndarray:
     """Matrix with i.i.d. standard normal entries, reproducible per seed:
-    the one-seed case of :func:`gaussian_matrices`."""
-    return gaussian_matrices(rows, cols, [seed])[0]
+    numpy's ``standard_normal`` from ``Philox(SeedSequence(seed))``, filled
+    column by column."""
+    _check_dims(rows, cols)
+    check_seed(seed)
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+    return gen.standard_normal((cols, rows)).T
 
 
 def thin_qr(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

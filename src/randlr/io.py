@@ -30,6 +30,13 @@ _MM_PRECISION = 17
 # has it changed, so concurrent callers always restore the caller's value.
 _MM_THREADS_LOCK = threading.Lock()
 
+# Matrix Market files below this size are read on one thread.  On two CPUs
+# of an x86-64 host one reader thread won up to 8 MB (2.8 MB: 12.0 vs 16.6
+# ms), tied at 16 MB and lost from 24 MB up; writes gained from two threads
+# from 1 MB up, so they have no cutoff.  One thread also keeps a zero-row
+# file off fmm's multi-thread path, which dies of SIGFPE on it.
+_MM_READ_SPLIT_BYTES = 16 << 20
+
 
 def _usable_cpus() -> int:
     """Number of CPUs this process may run on (its affinity mask)."""
@@ -39,9 +46,10 @@ def _usable_cpus() -> int:
 
 
 @contextlib.contextmanager
-def _mm_threads():
+def _mm_threads(read_bytes: int | None = None):
     """Run scipy's Matrix Market reader or writer on at most one thread per
-    CPU this process may run on.
+    CPU this process may run on, and a read of ``read_bytes`` below
+    ``_MM_READ_SPLIT_BYTES`` on one thread.
 
     scipy's default (``PARALLELISM = 0``) starts one thread per CPU of the
     machine and ignores the affinity mask, so under ``taskset`` or a cpuset
@@ -54,7 +62,8 @@ def _mm_threads():
 
     with _MM_THREADS_LOCK:
         saved = fmm.PARALLELISM
-        cpus = _usable_cpus()
+        small = read_bytes is not None and read_bytes < _MM_READ_SPLIT_BYTES
+        cpus = 1 if small else _usable_cpus()
         fmm.PARALLELISM = min(saved, cpus) if saved > 0 else cpus
         try:
             yield
@@ -85,7 +94,7 @@ def read_matrix_market(path) -> np.ndarray:
     import scipy.io
     import scipy.sparse
 
-    with _mm_threads():
+    with _mm_threads(os.path.getsize(path)):
         M = scipy.io.mmread(path)
     if scipy.sparse.issparse(M):
         M = M.toarray()

@@ -3,6 +3,7 @@
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,7 +108,7 @@ def test_approx_writes_factors(capsys, tmp_path, bench_matrix):
     assert fa.basis.shape == (20, 5)
     assert fa.coeffs.shape == (5, 16)
     assert fa.seed == 7 and fa.target_rank == 3 and fa.oversampling == 2
-    sidecar = json.loads(open(prefix + ".json").read())
+    sidecar = json.loads(Path(prefix + ".json").read_text())
     assert sidecar == {
         "schema_version": 1,
         "target_rank": 3,
@@ -170,10 +171,8 @@ def test_approx_seed_past_64_bits_keeps_numpys_stream(capsys, tmp_path, bench_ma
     argv = ["approx", bench_matrix, "--rank", "2", "--oversample", "3", "--seed", str(2**70),
             "--out-prefix", prefix]
     assert run_cli(capsys, argv)[0] == 0
-    # the sketch's Gaussian: numpy's Philox stream for the seed, Box-Muller, column-major
-    u = np.random.Generator(np.random.Philox(np.random.SeedSequence(2**70))).random((2, 40))
-    radius, angle = np.sqrt(-2.0 * np.log1p(-u[0])), 2.0 * np.pi * u[1]
-    G = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)]).reshape((16, 5), order="F")
+    # the sketch's Gaussian: numpy's standard_normal on the seed's Philox stream, column-major
+    G = np.random.Generator(np.random.Philox(np.random.SeedSequence(2**70))).standard_normal((5, 16)).T
     fa = load_factored(prefix)
     assert fa.seed == 2**70
     assert np.array_equal(fa.basis, thin_qr(read_matrix(bench_matrix) @ G)[0])
@@ -259,7 +258,7 @@ def test_gen_spectrum_file(capsys, tmp_path):
         ["gen", "spectrum", "--dims", "12", "10", "--values", "4,2,1",
          "--seed", "3", "--out", str(out2_path)],
     )
-    assert open(out_path).read() == open(out2_path).read()
+    assert out_path.read_text() == out2_path.read_text()
 
 
 def test_gen_csv_extension(capsys, tmp_path):
@@ -396,6 +395,15 @@ def test_plan_infinite_epsilon_is_rejected_before_reading(capsys, tmp_path, diag
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "finite" in err
+
+
+def test_complex_matrix_market_file_is_one_error_line(capsys, tmp_path):
+    # a float64 cast would keep the real part's spectrum, with only numpy's ComplexWarning
+    path = tmp_path / "c.mtx"
+    path.write_text("%%MatrixMarket matrix array complex general\n2 2\n1 2\n3 0\n0.5 1\n2 -1\n")
+    code, out, err = run_cli(capsys, ["spectrum", str(path)])
+    assert code == 1 and out == ""
+    assert err == f"error: {path} has complex entries; randlr handles real matrices only\n"
 
 
 def test_missing_file_is_error(capsys):

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-import randlr.core
 from randlr.core import (
     MAX_TRIALS,
     SingularSpectrum,
@@ -14,7 +13,6 @@ from randlr.core import (
     derive_keys,
     derive_seed,
     frobenius_norm,
-    gaussian_matrices,
     gaussian_matrix,
     keyed_gaussian_matrices,
     pseudoinverse,
@@ -45,6 +43,11 @@ def test_as_matrix_rejects_bad_input():
         as_matrix([[1.0, np.inf]])
     with pytest.raises(ValueError):
         as_matrix(np.zeros((0, 3)))
+    # a float64 cast would keep only the real part
+    with pytest.raises(ValueError, match="^F has complex entries"):
+        as_matrix(np.array([[1 + 2j]]), name="F")
+    with pytest.raises(ValueError, match="complex"):
+        as_matrix([[1.0, 0j]])
 
 
 def test_as_matrix_copies_and_casts():
@@ -101,14 +104,10 @@ def test_gaussian_rejects_bad_dims():
 
 
 def frozen_gaussian_matrix(rows, cols, seed):
-    """The one-seed sampler as it was before the stacked one, kept as the reference."""
+    """The reference sampler, numpy's own: ziggurat normals from the seed's
+    Philox stream, filled column by column."""
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
-    n = rows * cols
-    u = gen.random((2, (n + 1) // 2))
-    radius = np.sqrt(-2.0 * np.log1p(-u[0]))
-    angle = (2.0 * np.pi) * u[1]
-    z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
-    return z[:n].reshape((rows, cols), order="F")
+    return gen.standard_normal((cols, rows)).T
 
 
 SAMPLER_SEEDS = [
@@ -120,13 +119,34 @@ SAMPLER_SEEDS = [
 
 
 @pytest.mark.parametrize("seeds", SAMPLER_SEEDS, ids=["zero", "max", "derived", "stack-of-50"])
-@pytest.mark.parametrize("rows,cols", [(1, 1), (7, 3), (40, 14), (200, 29)])  # 7x3: odd count
+@pytest.mark.parametrize("rows,cols", [(1, 1), (7, 3), (40, 14), (200, 29)])
 def test_gaussian_matrices_match_the_frozen_sampler(rows, cols, seeds):
-    stack = gaussian_matrices(rows, cols, seeds)
+    keys = [np.random.SeedSequence(seed).generate_state(2, np.uint64) for seed in seeds]
+    stack = keyed_gaussian_matrices(rows, cols, keys)
     assert stack.shape == (len(seeds), rows, cols)
     for G, seed in zip(stack, seeds):
         assert np.array_equal(G, frozen_gaussian_matrix(rows, cols, seed))
-    assert np.array_equal(gaussian_matrix(rows, cols, seeds[-1]), stack[-1])
+        assert np.array_equal(gaussian_matrix(rows, cols, seed), G)
+
+
+# numpy's Generator streams are not promised across releases (NEP 19): a numpy
+# whose standard_normal or Philox moved would change every report silently.
+GOLDEN_DRAWS = [
+    (0, [-0.2059740286292238, -0.12884495093462758, -0.28978987549091256,
+         -1.271943284573895, -1.4064349008284343, 0.0434076798448615]),
+    (2**64 - 1, [-1.0039545214062364, -1.4856424361498295, -0.48602820321024115,
+                 0.17877176993222144, 0.1372847863093682, 0.09221281302006908]),
+    (9579476198165552839,  # derive_seed(2024, 7)
+     [1.489896906900246, -0.21782636841518935, -1.643418323183848,
+      0.3398061128040067, 0.35883627922522965, 0.3601748788064143]),
+]
+
+
+@pytest.mark.parametrize("seed,values", GOLDEN_DRAWS)
+def test_gaussian_draws_are_frozen(seed, values):
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    assert gaussian_matrix(2, 3, seed).ravel(order="F").tolist() == values
+    assert keyed_gaussian_matrices(2, 3, [key])[0].ravel(order="F").tolist() == values
 
 
 def test_derive_seed_fixed_mixing():
@@ -175,15 +195,8 @@ def test_derive_keys_match_numpy(master_seed):
         assert np.array_equal(key, numpy_philox_key(numpy_derive_seed(master_seed, i))), i
 
 
-def test_philox_keys_match_numpy():
-    rng = np.random.default_rng(21)
-    seeds = EDGE_SEEDS + [2**70, 2**200 + 5] + [int(s) for s in rng.integers(0, 2**64, 10**4, dtype=np.uint64)]
-    for seed in seeds:
-        assert np.array_equal(np.array(randlr.core._philox_key(seed), dtype=np.uint64), numpy_philox_key(seed)), seed
-
-
 @pytest.mark.parametrize("count", [1, 50])
-@pytest.mark.parametrize("rows,cols", [(1, 1), (7, 3), (5, 9)])  # odd entry counts: Box-Muller padding
+@pytest.mark.parametrize("rows,cols", [(1, 1), (7, 3), (5, 9)])
 def test_keyed_stack_matches_numpy_streams(rows, cols, count):
     stack = keyed_gaussian_matrices(rows, cols, derive_keys(77, count))
     assert stack.shape == (count, rows, cols)

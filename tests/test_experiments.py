@@ -349,7 +349,7 @@ def test_monte_carlo_report_config():
     cfg = rep.config
     assert cfg["rank"] == 1 and cfg["oversampling"] == 2 and cfg["trials"] == 3
     assert cfg["master_seed"] == 17
-    assert cfg["seed_mix"] == "seedsequence-spawn/v1"
+    assert cfg["seed_mix"] == "seedsequence-spawn/v2"
     assert json.loads(rep.to_json())["schema_version"] == 1
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import randlr.io
 from randlr.io import (
     read_csv,
     read_matrix,
@@ -49,7 +50,7 @@ def test_matrix_market_coordinate_roundtrip(tmp_path, awkward_matrix):
 def test_matrix_market_banner_present(tmp_path):
     path = tmp_path / "m.mtx"
     write_matrix_market(path, np.eye(3))
-    assert open(path).readline().startswith("%%MatrixMarket")
+    assert path.read_text().startswith("%%MatrixMarket")
 
 
 def test_matrix_market_bad_layout(tmp_path):
@@ -66,7 +67,7 @@ def test_csv_roundtrip(tmp_path, awkward_matrix):
 def test_csv_shape_and_layout(tmp_path):
     path = tmp_path / "m.csv"
     write_csv(path, np.array([[1.0, 2.0], [3.0, 4.0]]))
-    lines = open(path).read().strip().split("\n")
+    lines = path.read_text().strip().split("\n")
     assert len(lines) == 2
     assert [float(v) for v in lines[0].split(",")] == [1.0, 2.0]
 
@@ -129,6 +130,22 @@ def test_import_randlr_does_not_load_scipy():
     assert proc.stdout == "False\nFalse\n"
 
 
+@pytest.mark.parametrize("size_line", ["0 3", "0 0"])
+def test_zero_row_matrix_market_file_is_one_error_line(tmp_path, size_line):
+    # scipy's reader dies of SIGFPE on such a file when it runs two or more threads,
+    # which only a subprocess can see; a file this small is read on one thread
+    path = tmp_path / "zero.mtx"
+    path.write_text(f"%%MatrixMarket matrix array real general\n{size_line}\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "randlr.cli", "spectrum", str(path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    dims = size_line.replace(" ", ", ")
+    assert proc.stderr == f"error: {path} must have positive dimensions, got ({dims})\n"
+
+
 def _fmm():
     import scipy.io._fast_matrix_market as fmm
     return fmm
@@ -182,7 +199,23 @@ def test_matrix_market_threads_restored_after_failed_read(tmp_path, monkeypatch)
     assert _fmm().PARALLELISM == 0
 
 
+def test_matrix_market_small_reads_use_one_thread(tmp_path, monkeypatch):
+    # one thread reads a small file faster even with CPUs to spare; writes still split
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(_fmm(), "PARALLELISM", 0)
+    reads, writes = _spy_threads(monkeypatch, "mmread"), _spy_threads(monkeypatch, "mmwrite")
+    path = tmp_path / "m.mtx"
+    write_matrix_market(path, np.eye(3))
+    size = path.stat().st_size
+    read_matrix_market(path)
+    monkeypatch.setattr(randlr.io, "_MM_READ_SPLIT_BYTES", size)  # at the cutoff the read splits
+    read_matrix_market(path)
+    assert writes == [4] and reads == [1, 4]
+    assert _fmm().PARALLELISM == 0
+
+
 def test_matrix_market_output_independent_of_threads(tmp_path, monkeypatch):
+    monkeypatch.setattr(randlr.io, "_MM_READ_SPLIT_BYTES", 0)  # let reads split too
     M = np.random.default_rng(5).standard_normal((3000, 40))
     paths = []
     for cpus in ({0}, {0, 1}):
@@ -195,7 +228,9 @@ def test_matrix_market_output_independent_of_threads(tmp_path, monkeypatch):
     assert paths[0].read_bytes() == paths[1].read_bytes()
     for cpus in ({0}, {0, 1}):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+        reads = _spy_threads(monkeypatch, "mmread")
         assert np.array_equal(read_matrix_market(paths[0]), M)
+        assert reads == [len(cpus)]
 
 
 def test_matrix_market_threads_restored_under_concurrent_calls(tmp_path, monkeypatch):
