@@ -67,7 +67,7 @@ def _load_spectrum_or_matrix(path: str) -> SingularSpectrum:
                     values=np.asarray(data["values"], dtype=np.float64),
                     source_dims=(rows, cols),
                 )
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(
                     f"{path} is not a spectrum file ({type(exc).__name__}: {exc}); expected "
                     '{"values": [...], "source_dims": [rows, cols]}'
@@ -247,8 +247,8 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, OverflowError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)  # a bare MemoryError has no message
         return EXIT_ERROR
 
 

@@ -7,7 +7,6 @@ parallel schedules produce byte-identical reports.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -19,6 +18,7 @@ from .core import (
     MAX_TRIALS,
     RANK_TOL,
     SEED_MIX,
+    SingularSpectrum,
     check_seed,
     derive_keys,
     derive_seed,
@@ -125,13 +125,7 @@ def gen_prescribed_spectrum(spec: GeneratorSpec) -> np.ndarray:
     if not spec.spectrum:
         raise ValueError("prescribed-spectrum generator needs a non-empty spectrum")
     a, b = spec.dims
-    vals = np.asarray(spec.spectrum, dtype=np.float64)
-    if len(vals) > min(a, b):
-        raise ValueError(f"spectrum of length {len(vals)} exceeds min{spec.dims}")
-    if (vals < 0.0).any() or not np.isfinite(vals).all():
-        raise ValueError("spectrum values must be finite and non-negative")
-    if (np.diff(vals) > 0.0).any():
-        raise ValueError("spectrum must be sorted non-increasing")
+    vals = SingularSpectrum(spec.spectrum, spec.dims).values
     left = build_basis(gaussian_matrix(a, len(vals), derive_seed(spec.seed, 0)))
     right = build_basis(gaussian_matrix(b, len(vals), derive_seed(spec.seed, 1)))
     return (left * vals) @ right.T
@@ -176,7 +170,10 @@ class TrialReport:
     trial index.  ``std_error`` is the standard error of the mean in the
     mode's comparison units: squared errors under ``squared-consistent``,
     plain errors under ``literal``.  ``bound``/``epsilon``/``fraction
-    _below_epsilon`` live in those same units.  ``mean_error``,
+    _below_epsilon`` live in those same units.  ``epsilon`` is the
+    baseline's error budget of :func:`beat_baseline_experiment`, and
+    ``fraction_below_epsilon`` the share of trials below it; both are None
+    in a :func:`monte_carlo` report, which has no budget.  ``mean_error``,
     ``mean_squared_error`` and ``std_error`` are None when no trial ran
     (verdict ``not-applicable``).
     """
@@ -205,15 +202,42 @@ class TrialReport:
             "verdict": self.verdict,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)
+
+def _map_draws(rows: int, cols: int, trials: int, master_seed: int, fn, workers: int = 1) -> np.ndarray:
+    """``fn`` applied to the rows x cols Gaussians of `trials` draws, indexed by draw.
+
+    Draw i uses the substream derived from (master_seed, i), so results do
+    not depend on execution order or on the number of workers.  Every
+    draw's Philox key is derived up front in one pass (:func:`derive_keys`).
+    Draws run in chunks of consecutive indices, each one stacked
+    :func:`keyed_gaussian_matrices` call passed to ``fn``, which returns one
+    value per draw.  A chunk holds at most ``CHUNK_ENTRIES`` drawn doubles
+    (one draw per chunk when a draw needs more), so memory grows with the
+    number of threads, not of draws.  Chunk boundaries depend only on the
+    shapes and the draw count; a pool of ``min(workers, chunks)`` threads
+    shares the chunks, each a slice of the one key array.
+    """
+    step = max(1, CHUNK_ENTRIES // (rows * cols))
+    keys = derive_keys(master_seed, trials)
+    chunks = [keys[lo : lo + step] for lo in range(0, trials, step)]
+
+    def run(chunk: np.ndarray) -> np.ndarray:
+        return fn(keyed_gaussian_matrices(rows, cols, chunk))
+
+    threads = min(workers, len(chunks))
+    if threads == 1:
+        values = [run(chunk) for chunk in chunks]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            values = list(pool.map(run, chunks))
+    return np.concatenate(values)
 
 
 def _run_trials(F, r, s, trials, master_seed, workers=1) -> np.ndarray:
     """Errors of `trials` independent factorizations, indexed by trial.
 
-    Trial i uses the substream derived from (master_seed, i), so results do
-    not depend on execution order or on the number of workers.
+    Trial i is the factorization seeded by ``derive_seed(master_seed, i)``,
+    whatever the chunks and workers of :func:`_map_draws`.
 
     Each trial runs in F's singular coordinates.  With ``F = U diag(sv) Vt``
     (k = min(a, b) singular values), the sketch ``F G = U (diag(sv) Vt G)``
@@ -233,17 +257,8 @@ def _run_trials(F, r, s, trials, master_seed, workers=1) -> np.ndarray:
     below about (l + 3) eps times the squared error.  Every per-trial sum
     runs along rows, never through a matrix-vector product (BLAS may block
     that by the chunk's length), so a trial's bits do not depend on its
-    chunk.
-
-    Every trial's Philox key is derived up front in one pass
-    (:func:`derive_keys`).  Trials run in chunks of consecutive indices,
-    each one stacked draw, product, QR and residual.  Every stacked array
-    of a chunk is at most b x l per trial (k <= b) and holds at most
-    ``CHUNK_ENTRIES`` doubles (one trial per chunk when a trial needs
-    more), so memory grows with the number of threads, not of trials.
-    Chunk boundaries depend only on the shapes and the trial count; a pool
-    of ``min(workers, chunks)`` threads shares the chunks, each a slice of
-    the one key array.
+    chunk.  Every stacked array of a chunk is at most b x l per trial
+    (k <= b), so the draw's chunk rule bounds them all.
     """
     if r + s >= min(F.shape):
         # The exact fallback ignores its seed; one evaluation serves all trials.
@@ -252,33 +267,23 @@ def _run_trials(F, r, s, trials, master_seed, workers=1) -> np.ndarray:
 
     _, sv, Vt = svd_factors(F)
     scaled = sv[:, None] * Vt
-    b, l = F.shape[1], r + s
-    step = max(1, CHUNK_ENTRIES // (b * l))
-    keys = derive_keys(master_seed, trials)
-    chunks = [keys[lo : lo + step] for lo in range(0, trials, step)]
+    l = r + s
     tail2 = sv[l:] ** 2
 
-    def run(chunk: np.ndarray) -> np.ndarray:
-        G = keyed_gaussian_matrices(b, l, chunk)
+    def residual(G: np.ndarray) -> np.ndarray:
         W = np.linalg.qr(scaled @ G)[0]
         # (W W^T - I) diag(sv) in its first l columns, the diagonal subtracted in place
         top = W @ (W[:, :l].transpose(0, 2, 1) * sv[:l])
-        top.reshape(len(chunk), -1)[:, : l * l : l + 1] -= sv[:l]
+        top.reshape(len(G), -1)[:, : l * l : l + 1] -= sv[:l]
         rows = np.einsum("nji,nji->nj", W[:, l:], W[:, l:])
         tail = np.einsum("nj,j->n", 1.0 - rows, tail2)  # rounding may leave it just below 0
         return np.sqrt(np.einsum("nij,nij->n", top, top) + np.maximum(tail, 0.0))
 
-    threads = min(workers, len(chunks))
-    if threads == 1:
-        errors = [run(chunk) for chunk in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            errors = list(pool.map(run, chunks))
-    return np.concatenate(errors)
+    return _map_draws(F.shape[1], l, trials, master_seed, residual, workers)
 
 
-def _check_trial_args(F: np.ndarray, r: int, trials: int, seed: int, mode: str, workers: int) -> None:
-    """Reject a bad rank, trial count, seed, mode or worker count before any decomposition."""
+def _check_trial_args(F: np.ndarray, r: int, trials: int, seed: int, mode: str) -> None:
+    """Reject a bad rank, trial count, seed or mode before any decomposition."""
     if r < 1 or r > min(F.shape):
         raise ValueError(f"target rank {r} out of range for {F.shape[0]}x{F.shape[1]}")
     if trials < 1:
@@ -286,8 +291,6 @@ def _check_trial_args(F: np.ndarray, r: int, trials: int, seed: int, mode: str, 
     if trials > MAX_TRIALS:
         raise ValueError(f"trials must be at most 2**32, got {trials}")
     check_seed(seed)
-    if workers < 1:
-        raise ValueError(f"need at least one worker, got {workers}")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -323,7 +326,6 @@ def monte_carlo(
     trials: int,
     master_seed: int,
     mode: str = MODE_SQUARED,
-    epsilon: float | None = None,
     workers: int = 1,
 ) -> TrialReport:
     """Run repeated randomized factorizations and compare against the bound.
@@ -337,9 +339,13 @@ def monte_carlo(
     uses the bound on the raw tail, so a tail that
     :func:`effective_tail_energy` snaps to 0 lowers the reported
     ``tail_energy`` and ``bound`` but never turns a satisfied verdict into
-    a violated one.
+    a violated one.  The report has no budget: its ``epsilon`` and
+    ``fraction_below_epsilon`` are None.  ``workers`` threads share the
+    trial chunks; the report does not depend on their number.
     """
-    _check_trial_args(F, r, trials, master_seed, mode, workers)
+    _check_trial_args(F, r, trials, master_seed, mode)
+    if workers < 1:
+        raise ValueError(f"need at least one worker, got {workers}")
     if s < 2:
         raise ValueError(f"oversampling must be at least 2, got {s}")
     spectrum = singular_values(F)
@@ -368,7 +374,7 @@ def monte_carlo(
         "fallback": bool(r + s >= min(F.shape)),
     }
     return _trial_report(
-        config, errors, mode, bound, epsilon, lambda mean, se: mean <= raw_bound + 3.0 * se + meas_floor
+        config, errors, mode, bound, None, lambda mean, se: mean <= raw_bound + 3.0 * se + meas_floor
     )
 
 
@@ -399,24 +405,19 @@ class MomentCheck:
             "passed": self.passed,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)
-
 
 def _pinv_energies(r: int, s: int, trials: int, master_seed: int) -> np.ndarray:
     """``||pinv(G_i)||_F^2`` for the r x (r+s) Gaussians G_i seeded by
     ``derive_seed(master_seed, i)``: the sum of 1/sigma^2 over the singular
-    values above ``RANK_TOL * sigma_max``, from one batched SVD per chunk."""
-    step = max(1, CHUNK_ENTRIES // (r * (r + s)))
-    keys = derive_keys(master_seed, trials)
-    samples = np.empty(trials)
-    for lo in range(0, trials, step):
-        hi = min(lo + step, trials)
-        draws = keyed_gaussian_matrices(r, r + s, keys[lo:hi])
+    values above ``RANK_TOL * sigma_max``, from one batched SVD per chunk
+    of :func:`_map_draws`."""
+
+    def energies(draws: np.ndarray) -> np.ndarray:
         sv = np.linalg.svd(draws, compute_uv=False)
         inv2 = np.divide(1.0, sv**2, out=np.zeros_like(sv), where=sv > RANK_TOL * sv[:, :1])
-        samples[lo:hi] = inv2.sum(axis=1)
-    return samples
+        return inv2.sum(axis=1)
+
+    return _map_draws(r, r + s, trials, master_seed, energies)
 
 
 def verify_gaussian_pinv_moment(r: int, s: int, trials: int, master_seed: int) -> MomentCheck:
@@ -455,7 +456,6 @@ def beat_baseline_experiment(
     trials: int,
     master_seed: int,
     mode: str = MODE_SQUARED,
-    workers: int = 1,
 ) -> TrialReport:
     """End-to-end comparison against a deterministic baseline.
 
@@ -468,7 +468,7 @@ def beat_baseline_experiment(
     """
     if baseline not in BASELINES:
         raise ValueError(f"unknown baseline {baseline!r}, expected one of {sorted(BASELINES)}")
-    _check_trial_args(F, r, trials, master_seed, mode, workers)
+    _check_trial_args(F, r, trials, master_seed, mode)
     spectrum = singular_values(F)
     tau = effective_tail_energy(spectrum, r)
     base_err = approximation_error(F, BASELINES[baseline](F, r))
@@ -503,5 +503,5 @@ def beat_baseline_experiment(
         )
 
     config["oversampling"] = chosen.oversampling
-    errors = _run_trials(F, r, chosen.oversampling, trials, master_seed, workers)
+    errors = _run_trials(F, r, chosen.oversampling, trials, master_seed)
     return _trial_report(config, errors, mode, chosen.predicted_bound, budget, lambda mean, se: mean < budget)

@@ -1,7 +1,10 @@
-"""Matrix file I/O: Matrix Market (array and coordinate) and headerless CSV.
+"""Matrix file I/O: Matrix Market and headerless CSV.
 
-Values are written with enough decimal digits that reading a file back
-reproduces the float64 entries bit for bit.
+Matrix Market files are written in the dense ``array`` layout and read in
+either the ``array`` or the sparse ``coordinate`` layout.  Values are
+written with enough decimal digits that reading a file back reproduces
+the float64 entries bit for bit.  A malformed file is a ValueError whose
+message starts with the file's path.
 """
 
 from __future__ import annotations
@@ -71,19 +74,13 @@ def _mm_threads(read_bytes: int | None = None):
             fmm.PARALLELISM = saved
 
 
-def write_matrix_market(path, M, fmt: str = "array") -> None:
-    """Write M in Matrix Market format, either dense ``array`` layout or the
-    sparse ``coordinate`` layout (zeros omitted)."""
+def write_matrix_market(path, M) -> None:
+    """Write M in Matrix Market format, dense ``array`` layout."""
     # scipy is imported here, not at module level: only Matrix Market I/O
     # needs it, and it makes up most of the package's import time
     import scipy.io
-    import scipy.sparse
 
     M = as_matrix(M)
-    if fmt == "coordinate":
-        M = scipy.sparse.coo_matrix(M)
-    elif fmt != "array":
-        raise ValueError(f"unknown Matrix Market layout {fmt!r}")
     # pass a handle so scipy does not append its own .mtx suffix
     with open(path, "wb") as fh, _mm_threads():
         scipy.io.mmwrite(fh, M, precision=_MM_PRECISION)
@@ -95,7 +92,10 @@ def read_matrix_market(path) -> np.ndarray:
     import scipy.sparse
 
     with _mm_threads(os.path.getsize(path)):
-        M = scipy.io.mmread(path)
+        try:
+            M = scipy.io.mmread(path)
+        except (ValueError, OverflowError) as exc:  # scipy's parse errors do not name the file
+            raise ValueError(f"{path}: {exc}") from exc
     if scipy.sparse.issparse(M):
         M = M.toarray()
     return as_matrix(M, name=str(path))
@@ -114,10 +114,13 @@ def read_csv(path) -> np.ndarray:
     """Read a headerless comma-separated matrix file."""
     rows = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(tok) for tok in line.split(",")])
+        try:
+            for line in fh:
+                line = line.strip()
+                if line:
+                    rows.append([float(tok) for tok in line.split(",")])
+        except ValueError as exc:  # a non-numeric value or non-UTF-8 bytes
+            raise ValueError(f"{path}: {exc}") from exc
     if not rows:
         raise ValueError(f"{path}: no rows found")
     width = len(rows[0])
@@ -137,9 +140,9 @@ def read_matrix(path) -> np.ndarray:
         return read_matrix_market(path)
     if ext == ".csv":
         return read_csv(path)
-    with open(path) as fh:
+    with open(path, "rb") as fh:  # bytes: read_csv reports a bad encoding
         first = fh.readline()
-    if first.startswith("%%MatrixMarket"):
+    if first.startswith(b"%%MatrixMarket"):
         return read_matrix_market(path)
     return read_csv(path)
 

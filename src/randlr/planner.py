@@ -21,7 +21,6 @@ the empirical quantity compared against it change.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -56,12 +55,6 @@ FEASIBILITY_MARGIN = 1e-12
 FLOOR_RTOL = 1e-8
 
 INFEASIBLE_REASON = "below Eckart-Young floor"
-
-
-def _check_mode(mode: str) -> str:
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
-    return mode
 
 
 def check_budget(epsilon: float) -> None:
@@ -112,16 +105,16 @@ def expected_error_bound(r: int, s: int, tau: float) -> float:
     return (1.0 + r / (s - 1.0)) * tau
 
 
-def choose_oversampling(r: int, tau: float, epsilon: float, mode: str = MODE_SQUARED) -> int | None:
+def choose_oversampling(r: int, tau: float, epsilon: float) -> int | None:
     """Least s >= 2 whose computed bound ``(1 + r/(s-1)) * tau`` is strictly
     below epsilon.
 
     Returns None when the budget is infeasible, i.e. at or below the tail
     energy: no amount of oversampling brings the bound under the
-    optimal-error floor.  The mode does not change the arithmetic, only
-    what units epsilon is understood in.
+    optimal-error floor.  The arithmetic is the same in both modes, so the
+    rule takes none: tau and epsilon only need to be in the same units
+    (:func:`plan` checks the mode).
     """
-    _check_mode(mode)
     if r < 1:
         raise ValueError(f"rank must be positive, got {r}")
     if not 0.0 <= tau < math.inf:
@@ -183,9 +176,6 @@ class ApproximationPlan:
             "reason": self.reason,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)
-
 
 def plan(spectrum: SingularSpectrum, r: int, epsilon: float, mode: str = MODE_SQUARED) -> ApproximationPlan:
     """Compose tail energy, oversampling selection, and the bound.
@@ -195,12 +185,13 @@ def plan(spectrum: SingularSpectrum, r: int, epsilon: float, mode: str = MODE_SQ
     raising; degenerate spectra (all zeros, short tails) are handled
     through the tau = 0 special case.
     """
-    _check_mode(mode)
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
     check_budget(epsilon)
     if r < 1 or r > len(spectrum):
         raise ValueError(f"rank {r} out of range for spectrum of length {len(spectrum)}")
     tau = effective_tail_energy(spectrum, r)
-    s = None if epsilon <= tau * (1.0 + FLOOR_RTOL) else choose_oversampling(r, tau, epsilon, mode)
+    s = None if epsilon <= tau * (1.0 + FLOOR_RTOL) else choose_oversampling(r, tau, epsilon)
     feasible = s is not None
     return ApproximationPlan(
         target_rank=r,

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -72,8 +75,9 @@ def test_plan_from_spectrum_json(capsys, tmp_path, diag_csv):
         "[2.0, 1.0]",
         '{"values": [2.0, 1.0], "source_dims": 3}',
         '{"values": [2.0, 1.0], "source_dims": [3]}',
+        '{"values": [1%s], "source_dims": [3, 3]}' % ("0" * 400),  # past float64: OverflowError
     ],
-    ids=["no-source-dims", "json-list", "scalar-dims", "one-dim"],
+    ids=["no-source-dims", "json-list", "scalar-dims", "one-dim", "huge-int"],
 )
 def test_plan_from_malformed_spectrum_is_one_error_line(capsys, tmp_path, content):
     spec_path = tmp_path / "spec.json"
@@ -129,6 +133,7 @@ def test_bench_deterministic_output(capsys, bench_matrix):
     assert data["schema_version"] == 1
     assert len(data["per_trial_errors"]) == 40
     assert data["verdict"] in ("bound-satisfied", "bound-violated")
+    assert data["epsilon"] is None and data["fraction_below_epsilon"] is None  # bench has no budget
 
 
 def test_bench_parallel_identical(capsys, bench_matrix):
@@ -404,6 +409,58 @@ def test_complex_matrix_market_file_is_one_error_line(capsys, tmp_path):
     code, out, err = run_cli(capsys, ["spectrum", str(path)])
     assert code == 1 and out == ""
     assert err == f"error: {path} has complex entries; randlr handles real matrices only\n"
+
+
+MALFORMED_FILES = {
+    "int-past-int64-array": ("m.mtx", b"%%MatrixMarket matrix array integer general\n2 1\n99999999999999999999\n1\n"),
+    "int-past-int64-coordinate": (
+        "m.mtx", b"%%MatrixMarket matrix coordinate integer general\n2 2 1\n1 1 99999999999999999999\n"
+    ),
+    "truncated": ("m.mtx", b"%%MatrixMarket matrix array real general\n2 3\n1\n2\n"),
+    "mm-non-numeric": ("m.mtx", b"%%MatrixMarket matrix array real general\n2 1\nabc\n1\n"),
+    "csv-non-numeric": ("m.csv", b"1,2\nabc,3\n"),
+    "csv-non-utf8": ("m.csv", b"1,2\n\xff\xfe,3\n"),
+    "sniffed-non-utf8": ("m.dat", b"1,2\n\xff\xfe,3\n"),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_FILES))
+def test_malformed_matrix_file_is_one_error_line_naming_it(capsys, tmp_path, name):
+    filename, content = MALFORMED_FILES[name]
+    path = tmp_path / filename
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, ["spectrum", str(path)])
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
+def test_malformed_matrix_file_prints_no_traceback(tmp_path):
+    # scipy raises OverflowError here, which main once let through as a traceback
+    filename, content = MALFORMED_FILES["int-past-int64-array"]
+    path = tmp_path / filename
+    path.write_bytes(content)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "randlr.cli", "spectrum", str(path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == f"error: {path}: Line 3: Integer out of range.\n"
+
+
+@pytest.mark.parametrize("exc,line", [
+    (MemoryError("Unable to allocate 7.45 GiB"), "error: Unable to allocate 7.45 GiB\n"),
+    (MemoryError(), "error: MemoryError\n"),
+    (OverflowError("int too large to convert to float"), "error: int too large to convert to float\n"),
+], ids=["memory", "bare-memory", "overflow"])
+def test_memory_and_overflow_errors_are_one_error_line(capsys, monkeypatch, exc, line):
+    # a huge moment draw raises MemoryError; patched in, so that no test allocates
+    def failing(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "verify_gaussian_pinv_moment", failing)
+    code, out, err = run_cli(capsys, ["moment", "--r", "1", "--s", "2", "--trials", "2", "--seed", "1"])
+    assert code == 1 and out == "" and err == line
 
 
 def test_missing_file_is_error(capsys):

@@ -1,6 +1,5 @@
 """Tests for generators, the Monte Carlo harness, and the end-to-end runs."""
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -173,7 +172,7 @@ def test_monte_carlo_single_trial_deterministic():
     F = prescribed((20, 20), tuple(0.7**i for i in range(8)), seed=6)
     a = monte_carlo(F, 2, 3, 1, master_seed=99)
     b = monte_carlo(F, 2, 3, 1, master_seed=99)
-    assert a.to_json() == b.to_json()
+    assert a.to_dict() == b.to_dict()
     assert a.std_error == 0.0
 
 
@@ -204,7 +203,7 @@ def test_monte_carlo_parallel_schedule_identical():
     assert math.ceil(400 / (randlr.experiments.CHUNK_ENTRIES // (30 * (3 + 3)))) == 3
     serial = monte_carlo(F, 3, 3, 400, master_seed=42, workers=1)
     threaded = monte_carlo(F, 3, 3, 400, master_seed=42, workers=4)
-    assert serial.to_json() == threaded.to_json()
+    assert serial.to_dict() == threaded.to_dict()
 
 
 def signal_noise(dims, seed):
@@ -334,13 +333,10 @@ def test_pool_threads_bounded_by_chunks(monkeypatch):
 
 
 def test_monte_carlo_fraction_below_epsilon():
+    # bench has no budget; beat fills both fields (test_beat_greedy_baseline_feasible)
     F = prescribed((20, 18), tuple(0.5**i for i in range(6)), seed=14)
-    rep = monte_carlo(F, 2, 2, 12, master_seed=1, epsilon=1e6)
-    assert rep.fraction_below_epsilon == 1.0
-    rep2 = monte_carlo(F, 2, 2, 12, master_seed=1, epsilon=0.0)
-    assert rep2.fraction_below_epsilon == 0.0
-    rep3 = monte_carlo(F, 2, 2, 12, master_seed=1)
-    assert rep3.fraction_below_epsilon is None
+    rep = monte_carlo(F, 2, 2, 12, master_seed=1)
+    assert rep.epsilon is None and rep.fraction_below_epsilon is None
 
 
 def test_monte_carlo_report_config():
@@ -350,7 +346,7 @@ def test_monte_carlo_report_config():
     assert cfg["rank"] == 1 and cfg["oversampling"] == 2 and cfg["trials"] == 3
     assert cfg["master_seed"] == 17
     assert cfg["seed_mix"] == "seedsequence-spawn/v2"
-    assert json.loads(rep.to_json())["schema_version"] == 1
+    assert rep.to_dict()["schema_version"] == 1
 
 
 def test_monte_carlo_validates():
@@ -420,8 +416,6 @@ def test_worker_count_validated_before_decomposing(monkeypatch, workers):
     monkeypatch.setattr(randlr.experiments, "svd_factors", no_svd)
     with pytest.raises(ValueError, match="worker"):
         monte_carlo(np.eye(6), 1, 2, 5, master_seed=1, workers=workers)
-    with pytest.raises(ValueError, match="worker"):
-        beat_baseline_experiment(np.eye(6), 1, METHOD_COLUMN_SELECT, 5, master_seed=1, workers=workers)
 
 
 def test_bench_plan_and_beat_report_the_same_tau():

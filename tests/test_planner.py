@@ -1,6 +1,5 @@
 """Tests for tail energy, the expected-error bound, and oversampling choice."""
 
-import json
 import time
 
 import numpy as np
@@ -103,8 +102,6 @@ def test_choose_validates():
         choose_oversampling(0, 1.0, 2.0)
     with pytest.raises(ValueError):
         choose_oversampling(2, -1.0, 2.0)
-    with pytest.raises(ValueError):
-        choose_oversampling(2, 1.0, 2.0, mode="plain")
     # Unchecked, the search returns s = 2 for a NaN and doubles into an OverflowError at tau = epsilon = inf.
     for tau, epsilon in ((float("nan"), 2.0), (float("inf"), float("inf")), (1.0, float("nan"))):
         with pytest.raises(ValueError):
@@ -243,6 +240,9 @@ def test_plan_validates_rank():
     spec = SingularSpectrum(values=np.array([1.0]), source_dims=(4, 4))
     with pytest.raises(ValueError):
         plan(spec, 2, 1.0)
+    # plan is where a mode is checked; choose_oversampling takes none
+    with pytest.raises(ValueError, match="unknown mode"):
+        plan(spec, 1, 2.0, mode="plain")
 
 
 def test_plan_strictness_flag_recorded():
@@ -256,7 +256,7 @@ def test_plan_strictness_flag_recorded():
 def test_plan_json_contract():
     spec = SingularSpectrum(values=np.array([3.0, 1.0]), source_dims=(6, 7))
     p = plan(spec, 1, 9.0, mode=MODE_LITERAL)
-    data = json.loads(p.to_json())
+    data = p.to_dict()
     for key in ("r", "s", "tau", "epsilon", "bound", "mode", "fallback",
                 "feasible", "strictness_bumped", "schema_version"):
         assert key in data
