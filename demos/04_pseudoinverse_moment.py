@@ -21,6 +21,7 @@ for r, s in [(1, 2), (2, 3), (5, 6), (5, 11), (10, 11), (10, 21)]:
         f"   {check.std_error:7.4f}   {'pass' if check.passed else 'FAIL'}"
     )
 
-print("\nNote the heavy tails at s = 2: the mean exists but the variance is")
-print("infinite, so the estimate converges slowly and the standard error")
-print("itself is noisy.  Larger s makes the estimator tame.")
+print("\nNote the heavy tails at s <= 3: P(sigma_min < x) ~ x^(s+1), so the")
+print("mean exists but the variance is infinite.  The estimate converges")
+print("slowly, the standard error itself is noisy, and the 4-se verdict has")
+print("no central-limit backing.  Larger s makes the estimator tame.")

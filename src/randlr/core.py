@@ -199,7 +199,8 @@ def _check_dims(rows: int, cols: int) -> None:
 
 def keyed_gaussian_matrices(rows: int, cols: int, keys) -> np.ndarray:
     """Stack of ``len(keys)`` rows x cols standard normal matrices, one per
-    Philox key (a pair of uint64 words, as from :func:`derive_keys`).
+    Philox key.  ``keys`` is any sequence of pairs of uint64 words, such as
+    the rows of :func:`derive_keys` or a slice of them.
 
     One Philox bit generator serves the call: each matrix sets its key at
     counter 0, which is the stream of ``Philox(SeedSequence(seed))`` for the
@@ -219,7 +220,7 @@ def keyed_gaussian_matrices(rows: int, cols: int, keys) -> np.ndarray:
         "has_uint32": 0,
         "uinteger": 0,
     }
-    for out, key in zip(z, keys):
+    for out, key in zip(z, np.asarray(keys).tolist()):  # Python ints set a key fastest
         state["state"]["key"] = key
         bits.state = state
         normal.standard_normal(out=out)

@@ -75,6 +75,9 @@ BASELINES = {
 # Entries per stacked array of a trial or moment chunk (256 KB), whatever the trial count.
 CHUNK_ENTRIES = 1 << 15
 
+# Entries of one moment draw (1 GiB of float64), checked before anything is drawn.
+MAX_DRAW_ENTRIES = 1 << 27
+
 
 @dataclass(frozen=True)
 class GeneratorSpec:
@@ -406,25 +409,56 @@ class MomentCheck:
         }
 
 
+def _svd_pinv_energies(draws: np.ndarray) -> np.ndarray:
+    """``||pinv(G)||_F^2`` of each matrix G of a stack by the SVD rule: the
+    sum of 1/sigma^2 over the singular values above ``RANK_TOL * sigma_max``,
+    as :func:`randlr.core.pseudoinverse` keeps them."""
+    sv = np.linalg.svd(draws, compute_uv=False)
+    inv2 = np.divide(1.0, sv**2, out=np.zeros_like(sv), where=sv > RANK_TOL * sv[:, :1])
+    return inv2.sum(axis=1)
+
+
+def _stack_pinv_energies(draws: np.ndarray) -> np.ndarray:
+    """``||pinv(G)||_F^2`` of each r x (r+s) matrix G of a stack, from the R
+    factor of ``G^T = Q R`` wherever a certificate proves it equal to the SVD
+    rule of :func:`_svd_pinv_energies`.
+
+    For full-rank G, ``pinv(G) = Q R^{-T}``, so ``||pinv(G)||_F^2 =
+    ||R^{-1}||_F^2``: one batched QR and one batched inverse of r x r
+    triangles.  A draw takes that value only when every diagonal entry of R
+    is nonzero and ``||R||_F^2 ||R^{-1}||_F^2 < RANK_TOL**-2``.  Because
+    ``||R||_F >= sigma_max`` and ``||R^{-1}||_F >= 1/sigma_min``, that proves
+    ``sigma_min > RANK_TOL * sigma_max``, so the SVD rule would keep every
+    singular value and both compute the same sum.  Every other draw goes
+    through the SVD rule itself.  The route and the value of a draw depend
+    on that draw's numbers alone, never on the rest of the stack.
+    """
+    R = np.linalg.qr(draws.transpose(0, 2, 1), mode="r")  # the sampler's contiguous G^T stack
+    full = (np.diagonal(R, axis1=1, axis2=2) != 0.0).all(axis=1)
+    R[~full] = np.eye(R.shape[1])  # so inv cannot fail on the stack; these draws take the SVD rule
+    Rinv = np.linalg.inv(R)
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN fails the certificate
+        energies = np.einsum("nij,nij->n", Rinv, Rinv)
+        certified = full & (np.einsum("nij,nij->n", R, R) * energies < RANK_TOL**-2)
+    if not certified.all():
+        energies[~certified] = _svd_pinv_energies(draws[~certified])
+    return energies
+
+
 def _pinv_energies(r: int, s: int, trials: int, master_seed: int) -> np.ndarray:
     """``||pinv(G_i)||_F^2`` for the r x (r+s) Gaussians G_i seeded by
-    ``derive_seed(master_seed, i)``: the sum of 1/sigma^2 over the singular
-    values above ``RANK_TOL * sigma_max``, from one batched SVD per chunk
-    of :func:`_map_draws`."""
-
-    def energies(draws: np.ndarray) -> np.ndarray:
-        sv = np.linalg.svd(draws, compute_uv=False)
-        inv2 = np.divide(1.0, sv**2, out=np.zeros_like(sv), where=sv > RANK_TOL * sv[:, :1])
-        return inv2.sum(axis=1)
-
-    return _map_draws(r, r + s, trials, master_seed, energies)
+    ``derive_seed(master_seed, i)``: :func:`_stack_pinv_energies` on each
+    chunk of :func:`_map_draws`."""
+    return _map_draws(r, r + s, trials, master_seed, _stack_pinv_energies)
 
 
 def verify_gaussian_pinv_moment(r: int, s: int, trials: int, master_seed: int) -> MomentCheck:
     """Estimate E||pinv(G)||_F^2 over seeded draws of r x (r+s) Gaussians.
 
+    Each sample is ``||pinv(G_i)||_F^2`` (see :func:`_stack_pinv_energies`).
     The check passes when the estimate lands within 4 standard errors of
-    r/(s-1).
+    r/(s-1).  One draw may hold at most ``MAX_DRAW_ENTRIES`` entries; a
+    larger one is a ValueError before any key is derived or draw made.
     """
     if r < 1:
         raise ValueError(f"rank must be positive, got {r}")
@@ -432,6 +466,8 @@ def verify_gaussian_pinv_moment(r: int, s: int, trials: int, master_seed: int) -
         raise ValueError(f"oversampling must be at least 2, got {s}")
     if trials < 2:
         raise ValueError(f"need at least two trials for a standard error, got {trials}")
+    if r * (r + s) > MAX_DRAW_ENTRIES:
+        raise ValueError(f"one {r}x{r + s} draw has {r * (r + s)} entries, more than 2**27")
     # derive_keys rejects a negative seed and more than 2**32 trials before any draw
     samples = _pinv_energies(r, s, trials, master_seed)
     estimate = float(samples.mean())

@@ -463,6 +463,17 @@ def test_memory_and_overflow_errors_are_one_error_line(capsys, monkeypatch, exc,
     assert code == 1 and out == "" and err == line
 
 
+def test_oversized_moment_draw_is_one_error_line(capsys, monkeypatch):
+    # one 1 x 1000000001 draw would be an 8 GB Gaussian; it is refused before any draw
+    def no_draw(*_, **__):
+        raise AssertionError("drew before validation")
+
+    monkeypatch.setattr("randlr.experiments.keyed_gaussian_matrices", no_draw)
+    code, out, err = run_cli(capsys, ["moment", "--r", "1", "--s", "1000000000", "--trials", "2", "--seed", "1"])
+    assert code == 1 and out == ""
+    assert err == "error: one 1x1000000001 draw has 1000000001 entries, more than 2**27\n"
+
+
 def test_missing_file_is_error(capsys):
     code, _, err = run_cli(capsys, ["spectrum", "/nonexistent/file.mtx"])
     assert code == 1

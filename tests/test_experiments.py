@@ -9,6 +9,7 @@ import pytest
 import randlr.experiments
 from randlr.core import (
     SingularSpectrum,
+    derive_keys,
     derive_seed,
     frobenius_norm,
     gaussian_matrix,
@@ -378,7 +379,8 @@ def forbid_decomposition(monkeypatch):
 
     monkeypatch.setattr(randlr.experiments, "singular_values", no_svd)
     monkeypatch.setattr(randlr.experiments, "svd_factors", no_svd)
-    monkeypatch.setattr(np.linalg, "svd", no_svd)  # the moment's batched SVD
+    for name in ("svd", "qr", "inv"):  # the moment's batched decompositions
+        monkeypatch.setattr(np.linalg, name, no_svd)
 
 
 def test_negative_seed_rejected_before_decomposing(monkeypatch):
@@ -468,6 +470,70 @@ def test_moment_validates():
         verify_gaussian_pinv_moment(1, 1, 10, 1)
     with pytest.raises(ValueError):
         verify_gaussian_pinv_moment(1, 2, 1, 1)
+
+
+def test_oversized_moment_draw_rejected_before_drawing(monkeypatch):
+    def no_draw(*_, **__):
+        raise AssertionError("drew before validation")
+
+    monkeypatch.setattr(randlr.experiments, "derive_keys", no_draw)
+    monkeypatch.setattr(randlr.experiments, "keyed_gaussian_matrices", no_draw)
+    assert randlr.experiments.MAX_DRAW_ENTRIES == 2**27
+    with pytest.raises(ValueError, match="more than 2\\*\\*27"):
+        verify_gaussian_pinv_moment(1, 2**27, 2, master_seed=1)  # one entry past the cap
+
+
+def test_moment_r_factor_matches_the_svd_rule():
+    # 20 shapes x 500 seeded draws; only rounding separates the two routes
+    for r in (1, 2, 5, 10, 30):
+        for s in (2, 3, 6, 21):
+            draws = keyed_gaussian_matrices(r, r + s, derive_keys(derive_seed(14, 100 * r + s), 500))
+            fast = randlr.experiments._stack_pinv_energies(draws)
+            exact = randlr.experiments._svd_pinv_energies(draws)
+            assert np.all(np.abs(fast - exact) <= 1e-12 * exact), (r, s)
+
+
+def uncertified_draws(r, s):
+    """An exactly singular draw (a zero row) and one with condition number 1e13."""
+    singular = gaussian_matrix(r, r + s, 1)
+    singular[1] = 0.0
+    left = build_basis(gaussian_matrix(r, r, 2))
+    right = build_basis(gaussian_matrix(r + s, r, 3))
+    ill = (left * np.geomspace(1.0, 1e-13, r)) @ right.T
+    return np.stack([singular, ill])
+
+
+def test_moment_uncertified_draws_take_the_svd_rule():
+    r, s = 4, 3
+    gaussians = keyed_gaussian_matrices(r, r + s, derive_keys(9, 6))
+    odd = uncertified_draws(r, s)
+    mixed = np.concatenate([gaussians[:2], odd[:1], gaussians[2:5], odd[1:], gaussians[5:]])
+    energies = randlr.experiments._stack_pinv_energies(mixed)
+    for i, draw in zip((2, 6), odd):
+        assert energies[i] == randlr.experiments._svd_pinv_energies(draw[None])[0]
+    assert np.isfinite(energies[2]) and energies[6] < 1e20  # the SVD rule dropped sigma = 0 and 1e-13
+    alone = randlr.experiments._stack_pinv_energies(gaussians)
+    assert np.array_equal(np.delete(energies, [2, 6]), alone)
+    for i, draw in enumerate(gaussians):
+        assert randlr.experiments._stack_pinv_energies(draw[None])[0] == alone[i]
+
+
+def test_moment_routes_are_counted(monkeypatch):
+    svd_rule = randlr.experiments._svd_pinv_energies
+    routed = []
+
+    def counting(draws):
+        routed.append(len(draws))
+        return svd_rule(draws)
+
+    monkeypatch.setattr(randlr.experiments, "_svd_pinv_energies", counting)
+    for r, s in [(1, 2), (5, 6), (10, 21)]:
+        randlr.experiments._pinv_energies(r, s, 500, master_seed=11)
+    assert routed == []  # every Gaussian draw of these runs is certified
+    r, s = 4, 3
+    stack = np.concatenate([keyed_gaussian_matrices(r, r + s, derive_keys(9, 6)), uncertified_draws(r, s)])
+    randlr.experiments._stack_pinv_energies(stack)
+    assert routed == [2]
 
 
 # --- beat_baseline_experiment ------------------------------------------------------
