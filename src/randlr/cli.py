@@ -135,7 +135,10 @@ def _cmd_beat(args) -> int:
 
 def _cmd_gen(args) -> int:
     if args.generator == "spectrum":
-        values = tuple(float(tok) for tok in args.values.split(","))
+        try:
+            values = tuple(float(tok) for tok in args.values.split(","))
+        except ValueError as exc:
+            raise ValueError(f"--values: {exc}") from exc
         spec = GeneratorSpec(
             dims=(args.dims[0], args.dims[1]),
             kind=KIND_PRESCRIBED,

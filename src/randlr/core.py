@@ -30,7 +30,6 @@ surface as ``numpy.linalg.LinAlgError``, a ``ValueError``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -178,20 +177,6 @@ def derive_keys(master_seed: int, count: int) -> np.ndarray:
     return np.stack([w[0] | w[1] << 32, w[2] | w[3] << 32], axis=1)
 
 
-@cache
-def _unkeyed():
-    """A seed sequence that gives numpy's Philox constructor key 0, its
-    cheapest seed: the sampler sets every key through ``.state`` itself.
-    Built on first use, because importing ``numpy.random`` takes 15 ms."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class Unkeyed(ISeedSequence):
-        def generate_state(self, n_words, dtype=np.uint32):
-            return np.zeros(n_words, dtype)
-
-    return Unkeyed()
-
-
 def _check_dims(rows: int, cols: int) -> None:
     if rows < 1 or cols < 1:
         raise ValueError(f"dimensions must be positive, got {rows}x{cols}")
@@ -210,7 +195,7 @@ def keyed_gaussian_matrices(rows: int, cols: int, keys) -> np.ndarray:
     """
     _check_dims(rows, cols)
     z = np.empty((len(keys), cols, rows))
-    bits = np.random.Philox(_unkeyed())
+    bits = np.random.Philox(0)  # any key: each draw below sets its own
     normal = np.random.Generator(bits)
     state = {
         "bit_generator": "Philox",

@@ -33,41 +33,22 @@ _MM_PRECISION = 17
 # has it changed, so concurrent callers always restore the caller's value.
 _MM_THREADS_LOCK = threading.Lock()
 
-# Matrix Market files below this size are read on one thread.  On two CPUs
-# of an x86-64 host one reader thread won up to 8 MB (2.8 MB: 12.0 vs 16.6
-# ms), tied at 16 MB and lost from 24 MB up; writes gained from two threads
-# from 1 MB up, so they have no cutoff.  One thread also keeps a zero-row
-# file off fmm's multi-thread path, which dies of SIGFPE on it.
-_MM_READ_SPLIT_BYTES = 16 << 20
-
-
-def _usable_cpus() -> int:
-    """Number of CPUs this process may run on (its affinity mask)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
 
 @contextlib.contextmanager
-def _mm_threads(read_bytes: int | None = None):
-    """Run scipy's Matrix Market reader or writer on at most one thread per
-    CPU this process may run on, and a read of ``read_bytes`` below
-    ``_MM_READ_SPLIT_BYTES`` on one thread.
+def _mm_threads():
+    """Run scipy's Matrix Market reader or writer on one thread.
 
     scipy's default (``PARALLELISM = 0``) starts one thread per CPU of the
-    machine and ignores the affinity mask, so under ``taskset`` or a cpuset
-    its threads share CPUs: pinned to one CPU of a 2-CPU x86-64 host, a
-    2.8 MB read took 19-20 ms at two threads against 11-12 ms at one.  A
-    lower limit the caller set (threadpoolctl sets this same global) is
-    kept.  Bytes written and values read do not depend on the thread count.
+    machine, ignoring the affinity mask.  A second thread only pays on large
+    files on an unpinned host (on two CPUs of an x86-64 host: writes of 2.8
+    MB 21.7 vs 29.9 ms, reads from about 24 MB up), and on two or more
+    threads fmm dies of SIGFPE reading an ``array`` file with zero rows.
     """
     import scipy.io._fast_matrix_market as fmm
 
     with _MM_THREADS_LOCK:
         saved = fmm.PARALLELISM
-        small = read_bytes is not None and read_bytes < _MM_READ_SPLIT_BYTES
-        cpus = 1 if small else _usable_cpus()
-        fmm.PARALLELISM = min(saved, cpus) if saved > 0 else cpus
+        fmm.PARALLELISM = 1
         try:
             yield
         finally:
@@ -91,7 +72,7 @@ def read_matrix_market(path) -> np.ndarray:
     import scipy.io
     import scipy.sparse
 
-    with _mm_threads(os.path.getsize(path)):
+    with _mm_threads():
         try:
             M = scipy.io.mmread(path)
         except (ValueError, OverflowError) as exc:  # scipy's parse errors do not name the file

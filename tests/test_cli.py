@@ -266,6 +266,18 @@ def test_gen_spectrum_file(capsys, tmp_path):
     assert out_path.read_text() == out2_path.read_text()
 
 
+def test_gen_spectrum_bad_values_error_names_the_flag(capsys, tmp_path):
+    out_path = tmp_path / "g.mtx"
+    code, out, err = run_cli(
+        capsys,
+        ["gen", "spectrum", "--dims", "6", "5", "--values", "1,,2",
+         "--seed", "8", "--out", str(out_path)],
+    )
+    assert code == 1 and out == ""
+    assert err == "error: --values: could not convert string to float: ''\n"
+    assert not out_path.exists()
+
+
 def test_gen_csv_extension(capsys, tmp_path):
     out_path = tmp_path / "gen.csv"
     code, _, _ = run_cli(

@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import randlr.io
 from randlr.io import (
     read_csv,
     read_matrix,
@@ -130,20 +129,57 @@ def test_import_randlr_does_not_load_scipy():
     assert proc.stdout == "False\nFalse\n"
 
 
-@pytest.mark.parametrize("size_line", ["0 3", "0 0"])
-def test_zero_row_matrix_market_file_is_one_error_line(tmp_path, size_line):
-    # scipy's reader dies of SIGFPE on such a file when it runs two or more threads,
-    # which only a subprocess can see; a file this small is read on one thread
-    path = tmp_path / "zero.mtx"
-    path.write_text(f"%%MatrixMarket matrix array real general\n{size_line}\n")
+_ARRAY = "%%MatrixMarket matrix array real general\n"
+
+# name: (file name, contents, the message after "error: <path>", or None
+# where scipy's parser words it)
+MALFORMED_FILES = {
+    "empty": ("m.mtx", "", None),
+    "banner-only": ("m.mtx", _ARRAY, None),
+    "array-0x3": ("m.mtx", _ARRAY + "0 3\n", " must have positive dimensions, got (0, 3)"),
+    "array-0x0": ("m.mtx", _ARRAY + "0 0\n", " must have positive dimensions, got (0, 0)"),
+    "coordinate-0x0": (
+        "m.mtx", "%%MatrixMarket matrix coordinate real general\n0 0 0\n",
+        " must have positive dimensions, got (0, 0)",
+    ),
+    # past 16 MiB: reads of files this size once ran on one thread per CPU
+    "array-0x3-padded": (
+        "m.mtx", _ARRAY + ("%" * 1023 + "\n") * (17 << 10) + "0 3\n",
+        " must have positive dimensions, got (0, 3)",
+    ),
+    "complex": (
+        "m.mtx", "%%MatrixMarket matrix array complex general\n2 2\n1 2\n3 0\n0.5 1\n2 -1\n",
+        " has complex entries; randlr handles real matrices only",
+    ),
+    "truncated": ("m.mtx", _ARRAY + "2 3\n1\n2\n", None),
+    "index-out-of-range": ("m.mtx", "%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n", None),
+    "non-numeric": ("m.mtx", _ARRAY + "2 1\nabc\n1\n", None),
+    "csv-non-utf8": ("m.csv", b"1,2\n\xff\xfe,3\n", None),
+    "csv-ragged": ("m.csv", "1,2\n3\n", ": ragged rows"),
+    "csv-nan": ("m.csv", "1,2\nnan,3\n", " contains non-finite entries"),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_FILES))
+def test_malformed_matrix_file_is_one_error_line(tmp_path, name):
+    # A subprocess, because only it sees a signal.  scipy's reader dies of SIGFPE on a
+    # zero-row array file when it runs two or more threads; the padded file caught that
+    # only where the process may use two or more CPUs, and cannot fail on a 1-CPU host.
+    filename, content, message = MALFORMED_FILES[name]
+    path = tmp_path / filename
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "randlr.cli", "spectrum", str(path)],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 1 and proc.stdout == ""
-    dims = size_line.replace(" ", ", ")
-    assert proc.stderr == f"error: {path} must have positive dimensions, got ({dims})\n"
+    assert proc.stderr.startswith(f"error: {path}") and proc.stderr.count("\n") == 1
+    if message is not None:
+        assert proc.stderr == f"error: {path}{message}\n"
 
 
 def _fmm():
@@ -166,29 +202,22 @@ def _spy_threads(monkeypatch, name):
     return seen
 
 
-def test_matrix_market_threads_follow_affinity(tmp_path, monkeypatch, awkward_matrix):
-    # scipy's default starts one thread per machine CPU; a process pinned to one CPU gets one
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(_fmm(), "PARALLELISM", 0)
+@pytest.mark.parametrize("callers", [0, 3])
+def test_matrix_market_runs_one_thread_and_restores_callers_value(
+    tmp_path, monkeypatch, awkward_matrix, callers
+):
+    # scipy's 0 means one thread per machine CPU; 3 is a limit a caller such as threadpoolctl set
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(_fmm(), "PARALLELISM", callers)
     reads, writes = _spy_threads(monkeypatch, "mmread"), _spy_threads(monkeypatch, "mmwrite")
     path = tmp_path / "m.mtx"
     write_matrix_market(path, awkward_matrix)
     assert np.array_equal(read_matrix_market(path), awkward_matrix)
     assert writes == [1] and reads == [1]
-    assert _fmm().PARALLELISM == 0
-
-
-def test_matrix_market_threads_keep_callers_lower_limit(tmp_path, monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    monkeypatch.setattr(_fmm(), "PARALLELISM", 2)
-    writes = _spy_threads(monkeypatch, "mmwrite")
-    write_matrix_market(tmp_path / "m.mtx", np.eye(3))
-    assert writes == [2]
-    assert _fmm().PARALLELISM == 2
+    assert _fmm().PARALLELISM == callers
 
 
 def test_matrix_market_threads_restored_after_failed_read(tmp_path, monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(_fmm(), "PARALLELISM", 0)
     reads = _spy_threads(monkeypatch, "mmread")
     path = tmp_path / "bad.mtx"
@@ -199,43 +228,8 @@ def test_matrix_market_threads_restored_after_failed_read(tmp_path, monkeypatch)
     assert _fmm().PARALLELISM == 0
 
 
-def test_matrix_market_small_reads_use_one_thread(tmp_path, monkeypatch):
-    # one thread reads a small file faster even with CPUs to spare; writes still split
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    monkeypatch.setattr(_fmm(), "PARALLELISM", 0)
-    reads, writes = _spy_threads(monkeypatch, "mmread"), _spy_threads(monkeypatch, "mmwrite")
-    path = tmp_path / "m.mtx"
-    write_matrix_market(path, np.eye(3))
-    size = path.stat().st_size
-    read_matrix_market(path)
-    monkeypatch.setattr(randlr.io, "_MM_READ_SPLIT_BYTES", size)  # at the cutoff the read splits
-    read_matrix_market(path)
-    assert writes == [4] and reads == [1, 4]
-    assert _fmm().PARALLELISM == 0
-
-
-def test_matrix_market_output_independent_of_threads(tmp_path, monkeypatch):
-    monkeypatch.setattr(randlr.io, "_MM_READ_SPLIT_BYTES", 0)  # let reads split too
-    M = np.random.default_rng(5).standard_normal((3000, 40))
-    paths = []
-    for cpus in ({0}, {0, 1}):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
-        writes = _spy_threads(monkeypatch, "mmwrite")
-        path = tmp_path / f"m{len(cpus)}.mtx"
-        write_matrix_market(path, M)
-        assert writes == [len(cpus)]
-        paths.append(path)
-    assert paths[0].read_bytes() == paths[1].read_bytes()
-    for cpus in ({0}, {0, 1}):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
-        reads = _spy_threads(monkeypatch, "mmread")
-        assert np.array_equal(read_matrix_market(paths[0]), M)
-        assert reads == [len(cpus)]
-
-
 def test_matrix_market_threads_restored_under_concurrent_calls(tmp_path, monkeypatch):
     # Without the lock, one call can save another's value and restore it last.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(_fmm(), "PARALLELISM", 0)
     reads, writes = _spy_threads(monkeypatch, "mmread"), _spy_threads(monkeypatch, "mmwrite")
     M = np.arange(12.0).reshape(4, 3)
