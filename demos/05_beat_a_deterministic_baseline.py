@@ -30,8 +30,9 @@ print(f"  mean squared error, 300 runs = {rep.mean_squared_error:.6f}")
 print(f"  fraction of runs below eps^2 = {rep.fraction_below_epsilon:.3f}")
 print(f"  verdict: {rep.verdict}")
 
-# Opponent 2: the truncated SVD (optimal).  Its budget sits exactly on the
-# floor, so the planner reports the attempt as infeasible.
+# Opponent 2: the truncated SVD (optimal).  By Eckart-Young its squared
+# error is the tail energy, so its budget is the floor itself and the
+# planner reports the attempt as infeasible.
 rep2 = beat_baseline_experiment(F, r=5, baseline="truncated-svd", trials=300, master_seed=999)
 print("\nopponent: truncated SVD at rank 5")
 print(f"  baseline error squared = {rep2.epsilon:.6f}")

@@ -50,8 +50,10 @@ MODES = (MODE_SQUARED, MODE_LITERAL)
 FEASIBILITY_MARGIN = 1e-12
 
 # The one floor rule (see plan): a budget within this relative distance of
-# tau sits on the optimal-error floor, because a budget and a tail energy
-# from two numerical routes agree only to ~1e-12 relative.
+# tau sits on the optimal-error floor.  The slack is for budgets measured
+# by another numerical route (a user's epsilon, column selection's error);
+# beat's truncated-SVD budget is tau itself, since a measured residual can
+# miss tau by more than any fixed slack when the tail is near rounding.
 FLOOR_RTOL = 1e-8
 
 INFEASIBLE_REASON = "below Eckart-Young floor"

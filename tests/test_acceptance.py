@@ -248,3 +248,29 @@ def test_criterion_7_bench_determinism(tmp_path):
         failures.append(f"report not parseable: {exc}")
 
     report("C7 bench determinism incl. parallel execution", failures)
+
+
+CLIFF = (1e3,) * 5 + (1.0,) * 95
+
+
+def test_criterion_8_near_tight_bound_and_negative_control():
+    """On a cliff spectrum, which nearly attains the bound, C1's rule (mean
+    squared error within bound + 3 SE) accepts the bound and rejects a bound
+    with half its excess, (1 + r/(2(s-1))) * tau."""
+    failures = []
+    F = gen_prescribed_spectrum(
+        GeneratorSpec(dims=(100, 100), kind=KIND_PRESCRIBED, spectrum=CLIFF, seed=2025)
+    )
+    r = 5
+    tau = tail_energy(np.asarray(CLIFF), r)
+    for s in (4, 6, 12):
+        rep = monte_carlo(F, r, s, 500, master_seed=derive_seed(4242, 800 + s))
+        if rep.verdict != VERDICT_SATISFIED:
+            failures.append(f"s={s}: {rep.verdict} against the bound {rep.bound}")
+        half_excess = (1.0 + r / (2.0 * (s - 1.0))) * tau
+        if rep.mean_squared_error <= half_excess + 3.0 * rep.std_error:
+            failures.append(
+                f"s={s}: half-excess bound {half_excess} not rejected"
+                f" (mean {rep.mean_squared_error}, se {rep.std_error})"
+            )
+    report("C8 near-tight cliff spectrum and half-excess control, 3 cells x 500 trials", failures)

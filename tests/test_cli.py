@@ -244,6 +244,27 @@ def test_beat_svd_baseline_report_is_strict_json(capsys, bench_matrix):
     assert data["std_error"] is None
 
 
+def test_beat_svd_baseline_on_a_tiny_tail_exits_infeasible(capsys, tmp_path):
+    # Five singular values of 1 and a 35-value tail at 3e-11: the truncated
+    # SVD is the floor however small its tail, so no plan may claim to beat it.
+    mat = tmp_path / "tiny_tail.mtx"
+    values = ",".join(["1"] * 5 + ["3e-11"] * 35)
+    code, _, _ = run_cli(
+        capsys,
+        ["gen", "spectrum", "--dims", "60", "40", "--values", values, "--seed", "3", "--out", str(mat)],
+    )
+    assert code == 0
+    code, out, err = run_cli(
+        capsys,
+        ["beat", str(mat), "--rank", "5", "--baseline", "svd", "--trials", "20", "--seed", "7"],
+    )
+    assert code == 2 and err == ""
+    data = json.loads(out)
+    assert data["verdict"] == "not-applicable"
+    assert data["config"]["plan"]["feasible"] is False
+    assert data["config"]["plan"]["reason"] == "below Eckart-Young floor"
+
+
 def test_gen_spectrum_file(capsys, tmp_path):
     out_path = tmp_path / "gen.mtx"
     code, out, _ = run_cli(
@@ -394,16 +415,20 @@ def test_beat_overflowing_squared_norm_is_one_error_line(capsys, rank1_overflow_
 
 
 def test_beat_svd_runs_where_only_the_squared_norm_overflows(capsys, rank1_overflow_matrix):
-    # The truncated SVD never squares a column norm, so the overflow guard
-    # of column selection must not reject this input.
+    # The SVD baseline squares no column norm, so the overflow guard of
+    # column selection must not reject this input.  Its snapped tail
+    # energy is 0, the floor, so the report is the infeasible plan.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(
             capsys,
             ["beat", rank1_overflow_matrix, "--rank", "2", "--baseline", "svd", "--trials", "3", "--seed", "1"],
         )
-    assert code == 0 and err == ""
-    assert json.loads(out)["config"]["baseline"] == "truncated-svd"
+    assert code == 2 and err == ""
+    data = json.loads(out)
+    assert data["config"]["baseline"] == "truncated-svd"
+    assert data["config"]["tail_energy"] == 0.0 and data["config"]["baseline_error"] == 0.0
+    assert data["verdict"] == "not-applicable"
 
 
 def test_plan_infinite_epsilon_is_rejected_before_reading(capsys, tmp_path, diag_csv):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import randlr.experiments
+from randlr.baselines import truncated_svd
 from randlr.core import (
     SingularSpectrum,
     derive_keys,
@@ -31,7 +32,7 @@ from randlr.experiments import (
     monte_carlo,
     verify_gaussian_pinv_moment,
 )
-from randlr.planner import INFEASIBLE_REASON, plan, tail_energy
+from randlr.planner import INFEASIBLE_REASON, MODE_LITERAL, plan, tail_energy
 from randlr.rangefinder import (
     METHOD_COLUMN_SELECT,
     METHOD_TRUNCATED_SVD,
@@ -576,3 +577,118 @@ def test_beat_validates():
         beat_baseline_experiment(np.eye(5), 1, "pca", 10, 1)
     with pytest.raises(ValueError):
         beat_baseline_experiment(np.eye(5), 1, METHOD_COLUMN_SELECT, 0, 1)
+
+
+# --- the truncated-SVD baseline at the optimal-error floor -------------------
+
+FLOOR_TAILS = (1e-6, 1e-9, 3e-11, 5e-12, 2e-12, 1.2e-12, 1e-13, 1e-15, 0.0)
+
+
+def assert_at_floor(rep):
+    assert rep.verdict == VERDICT_NOT_APPLICABLE
+    assert rep.config["plan"]["feasible"] is False
+    assert rep.config["plan"]["reason"] == INFEASIBLE_REASON
+    assert rep.per_trial_errors == () and rep.config["trials"] == 0
+
+
+@pytest.mark.parametrize("tail", FLOOR_TAILS)
+def test_beat_truncated_svd_is_at_the_floor_however_small_the_tail(tail):
+    # Five singular values of 1 and 35 at `tail`: a measured residual and
+    # the tail energy drift apart here, so only a budget of tau itself
+    # stays on the floor.
+    F = prescribed((60, 40), (1.0,) * 5 + (tail,) * 35, seed=3)
+    rep = beat_baseline_experiment(F, 5, METHOD_TRUNCATED_SVD, 20, master_seed=7)
+    assert_at_floor(rep)
+    tau = rep.config["tail_energy"]
+    assert rep.epsilon == tau
+    assert rep.config["baseline_error"] == math.sqrt(tau)
+
+
+def test_beat_truncated_svd_is_at_the_floor_at_full_rank():
+    F = gen_signal_plus_noise(
+        GeneratorSpec(dims=(60, 40), kind=KIND_SIGNAL_NOISE, signal_rank=5, noise_level=0.1, seed=3)
+    )
+    rep = beat_baseline_experiment(F, 40, METHOD_TRUNCATED_SVD, 20, master_seed=7)
+    assert_at_floor(rep)
+    assert rep.epsilon == 0.0 and rep.config["baseline_error"] == 0.0
+
+
+def test_beat_truncated_svd_literal_budget_is_the_plain_floor_error():
+    F = prescribed((60, 40), (1.0,) * 5 + (1e-3,) * 35, seed=3)
+    rep = beat_baseline_experiment(F, 5, METHOD_TRUNCATED_SVD, 20, master_seed=7, mode=MODE_LITERAL)
+    assert rep.epsilon == rep.config["baseline_error"] == math.sqrt(rep.config["tail_energy"])
+    assert rep.config["plan"]["epsilon"] == rep.epsilon
+
+
+@pytest.mark.parametrize(
+    "dims, r, spec",
+    [
+        ((100, 80), 5, dict(kind=KIND_SIGNAL_NOISE, signal_rank=5, noise_level=0.05, seed=21)),
+        ((200, 200), 10, dict(kind=KIND_PRESCRIBED, spectrum=tuple(1.0 / np.arange(1, 201)), seed=1)),
+        ((3000, 40), 8, dict(kind=KIND_SIGNAL_NOISE, signal_rank=8, noise_level=0.5, seed=2)),
+        ((60, 40), 3, dict(kind=KIND_SIGNAL_NOISE, signal_rank=3, noise_level=0.3, seed=3)),
+    ],
+    ids=["c4-noisy", "square-spectrum", "tall-trials", "small-many"],
+)
+def test_beat_truncated_svd_error_matches_its_measured_residual(dims, r, spec):
+    F = generate(GeneratorSpec(dims=dims, **spec))
+    rep = beat_baseline_experiment(F, r, METHOD_TRUNCATED_SVD, 10, master_seed=1)
+    measured = approximation_error(F, truncated_svd(F, r))
+    assert rep.config["baseline_error"] == pytest.approx(measured, rel=1e-12, abs=0.0)
+    assert_at_floor(rep)
+
+
+def spy_on_svd(monkeypatch):
+    """Record the keyword arguments of every np.linalg.svd call."""
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(a, **kwargs):
+        calls.append(kwargs)
+        return svd(a, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return calls
+
+
+def count_calls(monkeypatch, holder, name):
+    """Log each call of ``holder``'s ``name``, an attribute or a dict key."""
+    calls = []
+    if isinstance(holder, dict):
+        fn, put = holder[name], monkeypatch.setitem
+    else:
+        fn, put = getattr(holder, name), monkeypatch.setattr
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    put(holder, name, counted)
+    return calls
+
+
+def test_beat_truncated_svd_takes_one_values_only_svd(monkeypatch):
+    F = gen_signal_plus_noise(
+        GeneratorSpec(dims=(40, 30), kind=KIND_SIGNAL_NOISE, signal_rank=3, noise_level=0.05, seed=8)
+    )
+    svds = spy_on_svd(monkeypatch)
+    measured = count_calls(monkeypatch, randlr.experiments, "approximation_error")
+    rep = beat_baseline_experiment(F, 3, METHOD_TRUNCATED_SVD, 50, master_seed=1)
+    assert rep.verdict == VERDICT_NOT_APPLICABLE
+    # truncated_svd would add a thin SVD with its vectors
+    assert svds == [{"compute_uv": False}]
+    assert measured == []
+
+
+def test_beat_column_select_still_builds_and_measures(monkeypatch):
+    F = gen_signal_plus_noise(
+        GeneratorSpec(dims=(40, 30), kind=KIND_SIGNAL_NOISE, signal_rank=3, noise_level=0.05, seed=8)
+    )
+    svds = spy_on_svd(monkeypatch)
+    built = count_calls(monkeypatch, randlr.experiments.BASELINES, METHOD_COLUMN_SELECT)
+    measured = count_calls(monkeypatch, randlr.experiments, "approximation_error")
+    rep = beat_baseline_experiment(F, 3, METHOD_COLUMN_SELECT, 50, master_seed=1)
+    assert rep.verdict == VERDICT_SATISFIED and not rep.config["plan"]["fallback"]
+    # the spectrum, then the trials' factors
+    assert svds == [{"compute_uv": False}, {"full_matrices": False}]
+    assert built == [METHOD_COLUMN_SELECT] and measured == ["approximation_error"]
