@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import svd_factors, thin_qr
+from .core import check_rank, svd_factors, thin_qr
 from .rangefinder import (
     METHOD_COLUMN_SELECT,
     METHOD_TRUNCATED_SVD,
@@ -21,17 +21,12 @@ from .rangefinder import (
 __all__ = ["truncated_svd", "column_select"]
 
 
-def _check_rank(F: np.ndarray, r: int) -> None:
-    if r < 1 or r > min(F.shape):
-        raise ValueError(f"rank {r} out of range for {F.shape[0]}x{F.shape[1]}")
-
-
 def truncated_svd(F: np.ndarray, r: int) -> FactoredApproximation:
     """Rank-r truncated SVD: the best possible rank-r approximation.
 
     Its squared Frobenius error equals the tail energy past index r.
     """
-    _check_rank(F, r)
+    check_rank(r, F.shape)
     U, vals, Vt = svd_factors(F)
     return FactoredApproximation(
         basis=U[:, :r],
@@ -52,7 +47,7 @@ def column_select(F: np.ndarray, r: int) -> FactoredApproximation:
     output fully deterministic.  A column whose squared norm overflows
     float64 is a ValueError.
     """
-    _check_rank(F, r)
+    check_rank(r, F.shape)
     resid = np.array(F, dtype=np.float64)
     picked: list[int] = []
     for _ in range(r):

@@ -38,6 +38,7 @@ __all__ = [
     "as_matrix",
     "frobenius_norm",
     "check_seed",
+    "check_rank",
     "derive_seed",
     "derive_keys",
     "gaussian_matrix",
@@ -79,6 +80,12 @@ def check_seed(seed, name: str = "seed") -> None:
     randlr seeds with non-negative integers only."""
     if int(seed) < 0:
         raise ValueError(f"{name} must be a non-negative integer, got {seed}")
+
+
+def check_rank(r: int, shape, name: str = "rank") -> None:
+    """Reject a rank outside ``1 <= r <= min(shape)`` for a matrix of ``shape``."""
+    if r < 1 or r > min(shape):
+        raise ValueError(f"{name} {r} out of range for {shape[0]}x{shape[1]}")
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of four

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .core import (
     RANK_TOL,
     SEED_MIX,
     SingularSpectrum,
+    check_rank,
     check_seed,
     derive_keys,
     derive_seed,
@@ -67,14 +68,16 @@ VERDICT_SATISFIED = "bound-satisfied"
 VERDICT_VIOLATED = "bound-violated"
 VERDICT_NOT_APPLICABLE = "not-applicable"
 
-# The baselines beat builds and measures; the truncated SVD's error comes from the spectrum.
-BASELINES = {METHOD_COLUMN_SELECT: column_select}
-
 # Entries per stacked array of a trial or moment chunk (256 KB), whatever the trial count.
 CHUNK_ENTRIES = 1 << 15
 
 # Entries of one moment draw (1 GiB of float64), checked before anything is drawn.
 MAX_DRAW_ENTRIES = 1 << 27
+
+
+def _fields_dict(obj, **extra) -> dict:
+    """A dataclass's fields by name, plus ``extra``; the values are not copied."""
+    return {**{f.name: getattr(obj, f.name) for f in fields(obj)}, **extra}
 
 
 @dataclass(frozen=True)
@@ -105,14 +108,7 @@ class GeneratorSpec:
         check_seed(self.seed)
 
     def to_dict(self) -> dict:
-        return {
-            "dims": list(self.dims),
-            "kind": self.kind,
-            "spectrum": None if self.spectrum is None else list(self.spectrum),
-            "signal_rank": self.signal_rank,
-            "noise_level": self.noise_level,
-            "seed": self.seed,
-        }
+        return _fields_dict(self)
 
 
 def gen_prescribed_spectrum(spec: GeneratorSpec) -> np.ndarray:
@@ -190,18 +186,7 @@ class TrialReport:
     verdict: str
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "config": self.config,
-            "per_trial_errors": list(self.per_trial_errors),
-            "mean_error": self.mean_error,
-            "mean_squared_error": self.mean_squared_error,
-            "std_error": self.std_error,
-            "bound": self.bound,
-            "epsilon": self.epsilon,
-            "fraction_below_epsilon": self.fraction_below_epsilon,
-            "verdict": self.verdict,
-        }
+        return _fields_dict(self, schema_version=1)
 
 
 def _map_draws(rows: int, cols: int, trials: int, master_seed: int, fn, workers: int = 1) -> np.ndarray:
@@ -285,8 +270,7 @@ def _run_trials(F, r, s, trials, master_seed, workers=1) -> np.ndarray:
 
 def _check_trial_args(F: np.ndarray, r: int, trials: int, seed: int, mode: str) -> None:
     """Reject a bad rank, trial count, seed or mode before any decomposition."""
-    if r < 1 or r > min(F.shape):
-        raise ValueError(f"target rank {r} out of range for {F.shape[0]}x{F.shape[1]}")
+    check_rank(r, F.shape, "target rank")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     if trials > MAX_TRIALS:
@@ -296,17 +280,36 @@ def _check_trial_args(F: np.ndarray, r: int, trials: int, seed: int, mode: str) 
         raise ValueError(f"unknown mode {mode!r}")
 
 
+def _config(kind: str, F: np.ndarray, r: int, trials: int, master_seed: int, mode: str, tau: float) -> dict:
+    """The ``config`` keys that ``bench`` and ``beat`` reports share."""
+    return {
+        "kind": kind,
+        "dims": [int(F.shape[0]), int(F.shape[1])],
+        "rank": int(r),
+        "trials": int(trials),
+        "master_seed": int(master_seed),
+        "mode": mode,
+        "seed_mix": SEED_MIX,
+        "tail_energy": tau,
+    }
+
+
+def _std_error(samples: np.ndarray) -> float:
+    """``samples.std(ddof=1) / sqrt(n)`` of non-negative samples, 0.0 for one.
+    Scaling by a power of two is exact, and keeps the squared deviations
+    from overflowing or underflowing at extreme input scales."""
+    if len(samples) < 2:
+        return 0.0
+    shift = math.frexp(samples.max())[1]
+    return float(np.ldexp(np.ldexp(samples, -shift).std(ddof=1), shift) / math.sqrt(len(samples)))
+
+
 def _trial_report(config, errors, mode, bound, epsilon, accept) -> TrialReport:
     """Report on per-trial errors; ``accept(mean, se)`` is the caller's verdict
     rule, applied in the mode's comparison units."""
     comp = errors**2 if mode == MODE_SQUARED else errors
     mean = float(comp.mean())
-    se = 0.0
-    if len(comp) > 1:
-        # Scaling by a power of two is exact, and keeps the squared deviations
-        # from overflowing or underflowing at extreme input scales.
-        shift = math.frexp(comp.max())[1]
-        se = float(np.ldexp(np.ldexp(comp, -shift).std(ddof=1), shift) / math.sqrt(len(comp)))
+    se = _std_error(comp)
     return TrialReport(
         config=config,
         per_trial_errors=tuple(float(e) for e in errors),
@@ -362,18 +365,8 @@ def monte_carlo(
     if mode == MODE_SQUARED:
         meas_floor **= 2
     errors = _run_trials(F, r, s, trials, master_seed, workers)
-    config = {
-        "kind": "bench",
-        "dims": [int(F.shape[0]), int(F.shape[1])],
-        "rank": int(r),
-        "oversampling": int(s),
-        "trials": int(trials),
-        "master_seed": int(master_seed),
-        "mode": mode,
-        "seed_mix": SEED_MIX,
-        "tail_energy": tau,
-        "fallback": bool(r + s >= min(F.shape)),
-    }
+    config = _config("bench", F, r, trials, master_seed, mode, tau)
+    config.update(oversampling=int(s), fallback=bool(r + s >= min(F.shape)))
     return _trial_report(
         config, errors, mode, bound, None, lambda mean, se: mean <= raw_bound + 3.0 * se + meas_floor
     )
@@ -394,17 +387,7 @@ class MomentCheck:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "rank": self.rank,
-            "oversampling": self.oversampling,
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "estimate": self.estimate,
-            "std_error": self.std_error,
-            "expected": self.expected,
-            "passed": self.passed,
-        }
+        return _fields_dict(self, schema_version=1)
 
 
 def _svd_pinv_energies(draws: np.ndarray) -> np.ndarray:
@@ -469,7 +452,7 @@ def verify_gaussian_pinv_moment(r: int, s: int, trials: int, master_seed: int) -
     # derive_keys rejects a negative seed and more than 2**32 trials before any draw
     samples = _pinv_energies(r, s, trials, master_seed)
     estimate = float(samples.mean())
-    se = float(samples.std(ddof=1) / math.sqrt(trials))
+    se = _std_error(samples)
     expected = r / (s - 1.0)
     return MomentCheck(
         rank=r,
@@ -503,7 +486,7 @@ def beat_baseline_experiment(
     optimal-error floor, which :func:`plan` reports as an infeasible
     outcome rather than an error: no rank-r method can be beaten there.
     """
-    known = sorted([METHOD_TRUNCATED_SVD, *BASELINES])
+    known = [METHOD_COLUMN_SELECT, METHOD_TRUNCATED_SVD]
     if baseline not in known:
         raise ValueError(f"unknown baseline {baseline!r}, expected one of {known}")
     _check_trial_args(F, r, trials, master_seed, mode)
@@ -512,23 +495,12 @@ def beat_baseline_experiment(
     if baseline == METHOD_TRUNCATED_SVD:
         base_err, squared = math.sqrt(tau), tau  # Eckart-Young; sqrt(tau)**2 may round above tau
     else:
-        base_err = approximation_error(F, BASELINES[baseline](F, r))
+        base_err = approximation_error(F, column_select(F, r))
         squared = base_err**2
     budget = squared if mode == MODE_SQUARED else base_err
     chosen = plan(spectrum, r, budget, mode)
-    config = {
-        "kind": "beat",
-        "dims": [int(F.shape[0]), int(F.shape[1])],
-        "rank": int(r),
-        "baseline": baseline,
-        "baseline_error": base_err,
-        "trials": int(trials),
-        "master_seed": int(master_seed),
-        "mode": mode,
-        "seed_mix": SEED_MIX,
-        "tail_energy": tau,
-        "plan": chosen.to_dict(),
-    }
+    config = _config("beat", F, r, trials, master_seed, mode, tau)
+    config.update(baseline=baseline, baseline_error=base_err, plan=chosen.to_dict())
     if not chosen.feasible:
         config["trials"] = 0
         config["trials_requested"] = int(trials)

@@ -15,8 +15,9 @@ Two norm interpretations ("modes") are threaded through all reports:
 * ``literal``: the formulas are evaluated exactly as in the derivation's
   final line, comparing the bound value against a plain-norm epsilon.
 
-The formulas are identical in both modes; only the units of epsilon and
-the empirical quantity compared against it change.
+The formulas are identical in both modes; only the units of epsilon, of
+the floor it is judged against (see :func:`plan`) and of the empirical
+quantity compared against it change.
 """
 
 from __future__ import annotations
@@ -45,15 +46,12 @@ MODE_SQUARED = "squared-consistent"
 MODE_LITERAL = "literal"
 MODES = (MODE_SQUARED, MODE_LITERAL)
 
-# choose_oversampling's arithmetic guard, not a floor rule: below this gap
-# epsilon - tau is rounding noise and would give astronomical oversampling.
-FEASIBILITY_MARGIN = 1e-12
-
 # The one floor rule (see plan): a budget within this relative distance of
-# tau sits on the optimal-error floor.  The slack is for budgets measured
-# by another numerical route (a user's epsilon, column selection's error);
-# beat's truncated-SVD budget is tau itself, since a measured residual can
-# miss tau by more than any fixed slack when the tail is near rounding.
+# the floor (tau, or max(tau, sqrt(tau)) in literal mode) sits on it.  The slack is
+# for budgets measured by another numerical route (a user's epsilon, column
+# selection's error); beat's truncated-SVD budget is the floor itself, since
+# a measured residual can miss tau by more than any fixed slack when the
+# tail is near rounding.
 FLOOR_RTOL = 1e-8
 
 INFEASIBLE_REASON = "below Eckart-Young floor"
@@ -109,23 +107,19 @@ def expected_error_bound(r: int, s: int, tau: float) -> float:
 
 def choose_oversampling(r: int, tau: float, epsilon: float) -> int | None:
     """Least s >= 2 whose computed bound ``(1 + r/(s-1)) * tau`` is strictly
-    below epsilon.
+    below epsilon, or None when epsilon <= tau.
 
-    Returns None when the budget is infeasible, i.e. at or below the tail
-    energy: no amount of oversampling brings the bound under the
-    optimal-error floor.  The arithmetic is the same in both modes, so the
-    rule takes none: tau and epsilon only need to be in the same units
-    (:func:`plan` checks the mode).
+    This is the search, not the floor rule: a budget just above tau gets
+    the huge s that meets it, and :func:`plan` reports budgets on the floor
+    as infeasible.  tau and epsilon only need to be in the same units, so
+    the search takes no mode.
     """
     if r < 1:
         raise ValueError(f"rank must be positive, got {r}")
     if not 0.0 <= tau < math.inf:
         raise ValueError(f"tail energy must be finite and non-negative, got {tau}")
     check_budget(epsilon)
-    if tau == 0.0:
-        # Exact-rank input: any oversampling succeeds, take the minimum legal.
-        return 2 if epsilon > 0.0 else None
-    if epsilon - tau <= FEASIBILITY_MARGIN * epsilon:
+    if epsilon <= tau:
         return None
     # The computed bound never increases with s: s - 1.0, r / x, 1 + x and
     # x * tau are each correctly rounded and monotone.  So doubling then
@@ -182,10 +176,11 @@ class ApproximationPlan:
 def plan(spectrum: SingularSpectrum, r: int, epsilon: float, mode: str = MODE_SQUARED) -> ApproximationPlan:
     """Compose tail energy, oversampling selection, and the bound.
 
-    A budget at or below ``tau * (1 + FLOOR_RTOL)``, the optimal-error
-    floor, produces a plan with ``feasible=False`` and a reason instead of
-    raising; degenerate spectra (all zeros, short tails) are handled
-    through the tau = 0 special case.
+    The package's one floor rule lives here: a budget at or below ``floor *
+    (1 + FLOOR_RTOL)`` produces a plan with ``feasible=False`` and a reason
+    instead of raising.  The floor is tau in squared mode.  In literal mode
+    it is ``max(tau, sqrt(tau))``: no rank-r method has a plain error below
+    ``sqrt(tau)``, and the bound never falls below tau.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
@@ -193,7 +188,8 @@ def plan(spectrum: SingularSpectrum, r: int, epsilon: float, mode: str = MODE_SQ
     if r < 1 or r > len(spectrum):
         raise ValueError(f"rank {r} out of range for spectrum of length {len(spectrum)}")
     tau = effective_tail_energy(spectrum, r)
-    s = None if epsilon <= tau * (1.0 + FLOOR_RTOL) else choose_oversampling(r, tau, epsilon)
+    floor = tau if mode == MODE_SQUARED else max(tau, math.sqrt(tau))
+    s = None if epsilon <= floor * (1.0 + FLOOR_RTOL) else choose_oversampling(r, tau, epsilon)
     feasible = s is not None
     return ApproximationPlan(
         target_rank=r,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_seed, frobenius_norm, gaussian_matrix, svd_factors, thin_qr
+from .core import check_rank, check_seed, frobenius_norm, gaussian_matrix, svd_factors, thin_qr
 from .io import read_matrix_market, write_matrix_market
 
 __all__ = [
@@ -113,13 +113,11 @@ def factorize(F: np.ndarray, r: int, s: int, seed: int) -> FactoredApproximation
     the sketch cannot pay for itself, so a full orthonormal basis of
     range(F) is used instead and the result tagged ``exact-fallback``.
     """
-    a, b = F.shape
-    if r < 1 or r > min(a, b):
-        raise ValueError(f"target rank {r} out of range for {a}x{b}")
+    check_rank(r, F.shape, "target rank")
     if s < 2:
         raise ValueError(f"oversampling must be at least 2, got {s}")
     check_seed(seed)
-    if r + s >= min(a, b):
+    if r + s >= min(F.shape):
         basis, _, _ = svd_factors(F)
         method = METHOD_EXACT_FALLBACK
     else:

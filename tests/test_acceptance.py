@@ -15,7 +15,15 @@ import time
 import numpy as np
 
 from randlr.baselines import truncated_svd
-from randlr.core import derive_seed, frobenius_norm, pseudoinverse, singular_values, thin_qr
+from randlr.core import (
+    derive_keys,
+    derive_seed,
+    frobenius_norm,
+    keyed_gaussian_matrices,
+    pseudoinverse,
+    singular_values,
+    thin_qr,
+)
 from randlr.experiments import (
     CHUNK_ENTRIES,
     KIND_PRESCRIBED,
@@ -274,3 +282,54 @@ def test_criterion_8_near_tight_bound_and_negative_control():
                 f" (mean {rep.mean_squared_error}, se {rep.std_error})"
             )
     report("C8 near-tight cliff spectrum and half-excess control, 3 cells x 500 trials", failures)
+
+
+# Pearson's statistic over 10 equiprobable bins has 9 degrees of freedom;
+# chi^2_9 exceeds this with probability 1e-4.
+PEARSON_CRITICAL_9DOF = 33.7
+C9_CELLS = ((1, 2), (1, 3), (5, 2), (5, 3), (10, 2))
+
+
+def pearson_10_bins(samples, dist) -> float:
+    """Pearson's statistic of `samples` over the 10 equiprobable bins of `dist`."""
+    edges = dist.ppf(np.arange(1, 10) / 10.0)
+    counts = np.bincount(np.searchsorted(edges, samples), minlength=10)
+    expected = len(samples) / 10.0
+    return float(np.sum((counts - expected) ** 2) / expected)
+
+
+def bartlett_statistics(r, s, trials, master_seed):
+    """Goodness of fit of the R factor of ``G^T = QR`` for the seeded r x (r+s)
+    Gaussians that ``moment`` draws.  By the Bartlett decomposition, with
+    diag(R) >= 0, the R_ii^2 are chi^2 with r+s-i degrees of freedom (0-based
+    i) and the R_ij, i < j, are N(0, 1), all independent.  Returns the
+    statistic of each R_ii^2, that of the pooled R_ij (none at r = 1), and
+    the control: the last diagonal judged against chi^2(s), one degree short.
+    """
+    from scipy import stats  # the package itself stays numpy-only on this path
+
+    G = keyed_gaussian_matrices(r, r + s, derive_keys(master_seed, trials))
+    R = np.linalg.qr(G.transpose(0, 2, 1), mode="r")
+    diag = np.diagonal(R, axis1=1, axis2=2)
+    R = R * np.where(diag < 0.0, -1.0, 1.0)[:, :, None]  # LAPACK's row signs are arbitrary
+    true_law = [pearson_10_bins(diag[:, i] ** 2, stats.chi2(r + s - i)) for i in range(r)]
+    if r > 1:
+        upper = np.triu_indices(r, 1)
+        true_law.append(pearson_10_bins(R[:, upper[0], upper[1]].ravel(), stats.norm()))
+    control = pearson_10_bins(diag[:, -1] ** 2, stats.chi2(s))
+    return true_law, control
+
+
+def test_criterion_9_bartlett_law_of_the_moment_draws():
+    """The R factors of the moment's draws follow the Bartlett law at s <= 3,
+    where ||pinv(G)||_F^2 has infinite variance and C2's rule has no power;
+    the identity E||pinv(G)||_F^2 = r/(s-1) follows from that law.  A last
+    diagonal judged one degree of freedom short must be rejected."""
+    failures = []
+    for r, s in C9_CELLS:
+        true_law, control = bartlett_statistics(r, s, 2000, derive_seed(4242, 900 + 10 * r + s))
+        if max(true_law) > PEARSON_CRITICAL_9DOF:
+            failures.append(f"r={r} s={s}: Bartlett law rejected, statistic {max(true_law):.1f}")
+        if control <= PEARSON_CRITICAL_9DOF:
+            failures.append(f"r={r} s={s}: chi^2(s) control not rejected, statistic {control:.1f}")
+    report("C9 Bartlett law of the moment draws at s <= 3, 5 cells x 2000 draws", failures)

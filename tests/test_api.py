@@ -1,0 +1,51 @@
+"""API integrity: every exported name exists once, and no import goes unused.
+
+Tools that walk the layers (such as a tracer wrapping every public
+function) call ``getattr`` on each ``__all__`` name, so a stale export
+breaks them; an import left behind by a deletion is dead code.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import randlr
+
+LAYERS = ("core", "rangefinder", "planner", "baselines", "experiments", "io", "cli")
+SOURCES = sorted(Path(randlr.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_all_names_resolve_and_are_unique(layer):
+    module = importlib.import_module(f"randlr.{layer}")
+    names = module.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(module, n)] == []
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names an import binds that the module never loads.  Strings listed in
+    ``__all__`` count as uses, since they re-export the name."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return [name for name in imported if name not in used]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_unused_imports(path):
+    assert unused_imports(ast.parse(path.read_text())) == []
+
+
+def test_unused_import_check_sees_an_orphan():
+    tree = ast.parse("import json\nfrom os import path, sep\n__all__ = ['sep']\n")
+    assert unused_imports(tree) == ["json", "path"]

@@ -265,6 +265,29 @@ def test_beat_svd_baseline_on_a_tiny_tail_exits_infeasible(capsys, tmp_path):
     assert data["config"]["plan"]["reason"] == "below Eckart-Young floor"
 
 
+def test_beat_svd_baseline_in_literal_mode_exits_infeasible(capsys, tmp_path):
+    # tau < 1 here, so the bound (1 + r/(s-1)) * tau falls below the plain
+    # floor sqrt(tau) at s = 3; no rank-3 method has a plain error below it.
+    mat = tmp_path / "sn.mtx"
+    code, _, _ = run_cli(
+        capsys,
+        ["gen", "signal-noise", "--dims", "60", "40", "--signal-rank", "3",
+         "--noise-level", "0.3", "--seed", "1", "--out", str(mat)],
+    )
+    assert code == 0
+    code, out, err = run_cli(
+        capsys,
+        ["beat", str(mat), "--rank", "3", "--baseline", "svd", "--trials", "50",
+         "--seed", "2", "--mode", "literal"],
+    )
+    assert code == 2 and err == ""
+    data = json.loads(out)
+    assert data["verdict"] == "not-applicable"
+    assert data["config"]["tail_energy"] < 1.0
+    assert data["epsilon"] == math.sqrt(data["config"]["tail_energy"])
+    assert data["config"]["plan"]["reason"] == "below Eckart-Young floor"
+
+
 def test_gen_spectrum_file(capsys, tmp_path):
     out_path = tmp_path / "gen.mtx"
     code, out, _ = run_cli(
@@ -557,3 +580,74 @@ def test_main_calls_in_one_process_match_calls_alone(capsys, diag_csv, bench_mat
     assert cli._build_parser.cache_info().misses == 1
     assert [code for code, _, _ in alone] == [2, 2, 0, 1, 0, 1, 0, 2]
     assert alone[0][1] != alone[1][1] and alone[2][1] != alone[4][1]
+
+
+# --- the JSON schema of every report ------------------------------------------
+
+
+def key_tree(data):
+    """The keys of a JSON object, nested objects as sub-trees, other values as None."""
+    return {k: key_tree(v) if isinstance(v, dict) else None for k, v in data.items()}
+
+
+def keys(*names, **nested):
+    return {**dict.fromkeys(names), **nested}
+
+
+PLAN_KEYS = keys("schema_version", "r", "s", "tau", "epsilon", "bound", "mode", "fallback",
+                 "feasible", "strictness_bumped", "reason")
+TRIAL_KEYS = ("schema_version", "per_trial_errors", "mean_error", "mean_squared_error",
+              "std_error", "bound", "epsilon", "fraction_below_epsilon", "verdict")
+CONFIG_KEYS = ("kind", "dims", "rank", "trials", "master_seed", "mode", "seed_mix", "tail_energy")
+BEAT_KEYS = (*CONFIG_KEYS, "baseline", "baseline_error")
+GENERATOR_KEYS = keys("dims", "kind", "spectrum", "signal_rank", "noise_level", "seed")
+
+REPORT_SCHEMAS = {
+    "spectrum": (["spectrum", "{mat}"], 0, keys("schema_version", "values", "source_dims")),
+    "plan": (["plan", "{mat}", "--rank", "3", "--epsilon", "1e6"], 0, PLAN_KEYS),
+    "approx": (
+        ["approx", "{mat}", "--rank", "3", "--oversample", "2", "--seed", "1", "--out-prefix", "{tmp}/fa"],
+        0,
+        keys("schema_version", "written", "method", "basis_shape", "coeffs_shape"),
+    ),
+    "bench": (
+        ["bench", "{mat}", "--rank", "3", "--oversample", "2", "--trials", "4", "--seed", "1"],
+        0,
+        keys(*TRIAL_KEYS, config=keys(*CONFIG_KEYS, "oversampling", "fallback")),
+    ),
+    "beat-feasible": (
+        ["beat", "{mat}", "--rank", "3", "--baseline", "colsel", "--trials", "4", "--seed", "1"],
+        0,
+        keys(*TRIAL_KEYS, config=keys(*BEAT_KEYS, "oversampling", plan=PLAN_KEYS)),
+    ),
+    "beat-infeasible": (
+        ["beat", "{mat}", "--rank", "3", "--baseline", "svd", "--trials", "4", "--seed", "1"],
+        2,
+        keys(*TRIAL_KEYS, config=keys(*BEAT_KEYS, "trials_requested", plan=PLAN_KEYS)),
+    ),
+    "gen-spectrum": (
+        ["gen", "spectrum", "--dims", "6", "5", "--values", "3,2,1", "--seed", "1", "--out", "{tmp}/g.mtx"],
+        0,
+        keys("schema_version", "written", generator=GENERATOR_KEYS),
+    ),
+    "gen-signal-noise": (
+        ["gen", "signal-noise", "--dims", "6", "5", "--signal-rank", "2", "--noise-level", "0.1",
+         "--seed", "1", "--out", "{tmp}/g.mtx"],
+        0,
+        keys("schema_version", "written", generator=GENERATOR_KEYS),
+    ),
+    "moment": (
+        ["moment", "--r", "2", "--s", "3", "--trials", "4", "--seed", "1"],
+        0,
+        keys("schema_version", "rank", "oversampling", "trials", "master_seed", "estimate",
+             "std_error", "expected", "passed"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(REPORT_SCHEMAS))
+def test_report_key_sets_are_pinned(capsys, tmp_path, bench_matrix, name):
+    argv, exit_code, schema = REPORT_SCHEMAS[name]
+    code, out, err = run_cli(capsys, [a.format(mat=bench_matrix, tmp=tmp_path) for a in argv])
+    assert (code, err) == (exit_code, "")
+    assert key_tree(json.loads(out)) == schema

@@ -1,5 +1,6 @@
 """Tests for generators, the Monte Carlo harness, and the end-to-end runs."""
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -450,6 +451,19 @@ def test_moment_deterministic():
     assert a == b
 
 
+C2_CELLS = list(itertools.product((1, 2, 5, 10), (2, 3, 6, 11)))
+
+
+@pytest.mark.parametrize("idx", range(len(C2_CELLS)), ids=[f"r{r}-s{s}" for r, s in C2_CELLS])
+def test_moment_std_error_is_the_plain_formula(idx):
+    # C2's cells and seeds: the power-of-two scaling shared with bench changes no bit
+    r, s = C2_CELLS[idx]
+    seed = derive_seed(77, idx)
+    samples = randlr.experiments._pinv_energies(r, s, 2000, seed)
+    check = verify_gaussian_pinv_moment(r, s, 2000, seed)
+    assert check.std_error == float(samples.std(ddof=1) / math.sqrt(2000))
+
+
 @pytest.mark.parametrize("r,s", [(3, 3), (10, 11)])
 def test_moment_samples_match_pseudoinverse(r, s):
     samples = randlr.experiments._pinv_energies(r, s, 200, master_seed=8)
@@ -618,6 +632,7 @@ def test_beat_truncated_svd_literal_budget_is_the_plain_floor_error():
     rep = beat_baseline_experiment(F, 5, METHOD_TRUNCATED_SVD, 20, master_seed=7, mode=MODE_LITERAL)
     assert rep.epsilon == rep.config["baseline_error"] == math.sqrt(rep.config["tail_energy"])
     assert rep.config["plan"]["epsilon"] == rep.epsilon
+    assert_at_floor(rep)
 
 
 @pytest.mark.parametrize(
@@ -651,19 +666,16 @@ def spy_on_svd(monkeypatch):
     return calls
 
 
-def count_calls(monkeypatch, holder, name):
-    """Log each call of ``holder``'s ``name``, an attribute or a dict key."""
+def count_calls(monkeypatch, module, name):
+    """Log each call of ``module``'s ``name``."""
     calls = []
-    if isinstance(holder, dict):
-        fn, put = holder[name], monkeypatch.setitem
-    else:
-        fn, put = getattr(holder, name), monkeypatch.setattr
+    fn = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(name)
         return fn(*args, **kwargs)
 
-    put(holder, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -685,10 +697,10 @@ def test_beat_column_select_still_builds_and_measures(monkeypatch):
         GeneratorSpec(dims=(40, 30), kind=KIND_SIGNAL_NOISE, signal_rank=3, noise_level=0.05, seed=8)
     )
     svds = spy_on_svd(monkeypatch)
-    built = count_calls(monkeypatch, randlr.experiments.BASELINES, METHOD_COLUMN_SELECT)
+    built = count_calls(monkeypatch, randlr.experiments, "column_select")
     measured = count_calls(monkeypatch, randlr.experiments, "approximation_error")
     rep = beat_baseline_experiment(F, 3, METHOD_COLUMN_SELECT, 50, master_seed=1)
     assert rep.verdict == VERDICT_SATISFIED and not rep.config["plan"]["fallback"]
     # the spectrum, then the trials' factors
     assert svds == [{"compute_uv": False}, {"full_matrices": False}]
-    assert built == [METHOD_COLUMN_SELECT] and measured == ["approximation_error"]
+    assert built == ["column_select"] and measured == ["approximation_error"]

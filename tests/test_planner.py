@@ -1,5 +1,6 @@
 """Tests for tail energy, the expected-error bound, and oversampling choice."""
 
+import math
 import time
 
 import numpy as np
@@ -89,7 +90,10 @@ def test_choose_non_boundary():
 def test_choose_infeasible_below_floor():
     assert choose_oversampling(10, 1.0, 1.0) is None
     assert choose_oversampling(10, 1.0, 0.5) is None
-    assert choose_oversampling(3, 2.0, 2.0 * (1 + 1e-14)) is None  # inside margin
+    # A budget a hair above tau is on the floor by plan's rule, not the search's.
+    spec = SingularSpectrum(values=np.array([3.0, 2.0, 1.0, 1.0]), source_dims=(6, 6))
+    assert tail_energy(spec, 2) == 2.0
+    assert not plan(spec, 2, 2.0 * (1 + 1e-14)).feasible
 
 
 def test_choose_zero_tail_shortcut():
@@ -128,7 +132,7 @@ def test_choose_monotone_in_epsilon():
 
 
 def test_choose_near_the_floor_is_least_strictly_feasible():
-    # Gaps just outside FEASIBILITY_MARGIN, where s reaches ~1e12.
+    # Gaps of 1e-11 to 1e-8 relative, where s reaches ~1e12.
     rng = np.random.default_rng(4)
     for _ in range(300):
         r = int(rng.integers(1, 21))
@@ -201,6 +205,31 @@ def test_plan_floor_rule_is_relative_to_tau():
     at_floor = plan(spec, 1, 5.0 * (1.0 + 0.1 * FLOOR_RTOL))
     assert not at_floor.feasible and at_floor.reason == INFEASIBLE_REASON
     above = plan(spec, 1, 5.0 * (1.0 + 10.0 * FLOOR_RTOL))
+    assert above.feasible and above.predicted_bound < above.error_budget
+
+
+def test_plan_literal_floor_is_the_plain_tail_norm():
+    # tau = 0.25 < 1: the plain floor sqrt(tau) = 0.5 lies above tau, and no
+    # rank-1 method has a plain error below it, however small the bound.
+    spec = SingularSpectrum(values=np.array([3.0, 0.4, 0.3]), source_dims=(5, 5))
+    tau = tail_energy(spec, 1)
+    floor = math.sqrt(tau)
+    assert tau < floor
+    for epsilon in (tau * (1.0 + 1e-6), 0.5 * (tau + floor), floor, floor * (1.0 + 0.1 * FLOOR_RTOL)):
+        p = plan(spec, 1, epsilon, mode=MODE_LITERAL)
+        assert not p.feasible and p.reason == INFEASIBLE_REASON
+        assert plan(spec, 1, epsilon, mode=MODE_SQUARED).feasible
+    above = plan(spec, 1, floor * (1.0 + 10.0 * FLOOR_RTOL), mode=MODE_LITERAL)
+    assert above.feasible and above.predicted_bound < above.error_budget
+
+
+def test_plan_literal_floor_above_one_is_tau():
+    # tau = 4 > sqrt(tau): the bound never falls below tau, so a literal
+    # budget a hair above it is on the floor, not a plan for s ~ 1e12.
+    spec = SingularSpectrum(values=np.array([3.0, 2.0]), source_dims=(4, 4))
+    assert not plan(spec, 1, 4.0 * (1.0 + 1e-12), mode=MODE_LITERAL).feasible
+    assert not plan(spec, 1, 3.0, mode=MODE_LITERAL).feasible
+    above = plan(spec, 1, 4.0 * (1.0 + 10.0 * FLOOR_RTOL), mode=MODE_LITERAL)
     assert above.feasible and above.predicted_bound < above.error_budget
 
 
