@@ -63,6 +63,8 @@ def _load_spectrum_or_matrix(path: str) -> SingularSpectrum:
             try:
                 data = json.load(fh)
                 rows, cols = data["source_dims"]
+                if type(rows) is not int or type(cols) is not int:  # int() truncates 2.7 and reads true as 1
+                    raise TypeError(f"source_dims must be two integers, got {data['source_dims']}")
                 return SingularSpectrum(
                     values=np.asarray(data["values"], dtype=np.float64),
                     source_dims=(rows, cols),

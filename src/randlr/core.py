@@ -10,8 +10,8 @@ the conventions the rest of the package and its tests rely on:
 * :func:`svd_factors` / :func:`singular_values` (``numpy.linalg.svd``) --
   values sorted non-increasing; U is orthonormal even for rank-deficient
   input.
-* :func:`pseudoinverse` -- singular values below ``RANK_TOL * sigma_max``
-  count as zero.
+* :func:`pseudoinverse` -- singular values at or below ``RANK_TOL *
+  sigma_max`` count as zero; ``_kept`` is that rank cutoff.
 
 Sampling is numpy's: seed ``x`` draws numpy's ziggurat
 ``standard_normal`` from ``Philox(SeedSequence(x))``, so every (rows, cols,
@@ -51,8 +51,13 @@ __all__ = [
     "MAX_TRIALS",
 ]
 
-#: Singular values below RANK_TOL * sigma_max count as zero in pseudoinverse.
+#: Singular values at or below RANK_TOL * sigma_max count as zero (see _kept).
 RANK_TOL = 1e-12
+
+
+def _kept(values: np.ndarray) -> np.ndarray:
+    """The rank cutoff: which singular values exceed ``RANK_TOL * sigma_max``."""
+    return values > RANK_TOL * values[..., :1]
 
 
 def as_matrix(values, name: str = "matrix") -> np.ndarray:
@@ -212,7 +217,7 @@ def keyed_gaussian_matrices(rows: int, cols: int, keys) -> np.ndarray:
         "has_uint32": 0,
         "uinteger": 0,
     }
-    for out, key in zip(z, np.asarray(keys).tolist()):  # Python ints set a key fastest
+    for out, key in zip(z, np.asarray(keys, dtype=np.uint64).tolist()):  # Python ints set a key fastest
         state["state"]["key"] = key
         bits.state = state
         normal.standard_normal(out=out)
@@ -313,9 +318,7 @@ def pseudoinverse(M: np.ndarray) -> np.ndarray:
     its dominant part instead of an explosion.
     """
     U, vals, Vt = svd_factors(M)
-    if len(vals) == 0 or vals[0] == 0.0:
-        return np.zeros((M.shape[1], M.shape[0]))
-    keep = vals > RANK_TOL * vals[0]
+    keep = _kept(vals)
     inv = np.zeros_like(vals)
     inv[keep] = 1.0 / vals[keep]
     return (Vt.T * inv) @ U.T

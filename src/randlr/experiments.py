@@ -8,6 +8,7 @@ parallel schedules produce byte-identical reports.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -19,6 +20,7 @@ from .core import (
     RANK_TOL,
     SEED_MIX,
     SingularSpectrum,
+    _kept,
     check_rank,
     check_seed,
     derive_keys,
@@ -87,7 +89,8 @@ class GeneratorSpec:
     ``prescribed-spectrum`` builds a matrix with exactly the requested
     singular values; ``signal-plus-noise`` superposes an exact-rank signal
     with unit singular values and a Gaussian perturbation whose Frobenius
-    norm is ``noise_level`` in expectation.
+    norm is ``noise_level`` in expectation.  Building a spec checks the
+    fields its kind reads, so an invalid recipe fails before any draw.
     """
 
     dims: tuple[int, int]
@@ -106,26 +109,34 @@ class GeneratorSpec:
         if self.spectrum is not None:
             object.__setattr__(self, "spectrum", tuple(float(v) for v in self.spectrum))
         check_seed(self.seed)
+        r, noise = self.signal_rank, self.noise_level
+        if self.kind == KIND_PRESCRIBED:
+            if not self.spectrum:
+                raise ValueError("prescribed-spectrum generator needs a non-empty spectrum")
+            SingularSpectrum(self.spectrum, self.dims)
+        elif r is None or r < 1 or r > min(self.dims):
+            raise ValueError(f"signal rank {r} out of range for {self.dims[0]}x{self.dims[1]}")
+        elif noise is None or noise < 0.0 or not math.isfinite(noise):
+            raise ValueError(f"noise level must be finite and non-negative, got {noise}")
 
     def to_dict(self) -> dict:
         return _fields_dict(self)
 
 
-def gen_prescribed_spectrum(spec: GeneratorSpec) -> np.ndarray:
-    """Matrix with the requested singular values, random singular vectors.
+def _with_singular_values(spec: GeneratorSpec, values: np.ndarray) -> np.ndarray:
+    """``(left * values) @ right.T``, whose singular values are ``values`` to
+    rounding: the orthonormal factors come from QR of Gaussians seeded by
+    ``derive_seed(spec.seed, 0)`` and ``derive_seed(spec.seed, 1)``."""
+    left = build_basis(gaussian_matrix(spec.dims[0], len(values), derive_seed(spec.seed, 0)))
+    right = build_basis(gaussian_matrix(spec.dims[1], len(values), derive_seed(spec.seed, 1)))
+    return (left * values) @ right.T
 
-    Orthonormal left/right factors come from QR of seeded Gaussian
-    matrices, so the output spectrum matches the request to rounding.
-    """
+
+def gen_prescribed_spectrum(spec: GeneratorSpec) -> np.ndarray:
+    """Matrix with the requested singular values, random singular vectors."""
     if spec.kind != KIND_PRESCRIBED:
         raise ValueError(f"generator kind is {spec.kind!r}, not {KIND_PRESCRIBED!r}")
-    if not spec.spectrum:
-        raise ValueError("prescribed-spectrum generator needs a non-empty spectrum")
-    a, b = spec.dims
-    vals = SingularSpectrum(spec.spectrum, spec.dims).values
-    left = build_basis(gaussian_matrix(a, len(vals), derive_seed(spec.seed, 0)))
-    right = build_basis(gaussian_matrix(b, len(vals), derive_seed(spec.seed, 1)))
-    return (left * vals) @ right.T
+    return _with_singular_values(spec, np.array(spec.spectrum))
 
 
 def gen_signal_plus_noise(spec: GeneratorSpec) -> np.ndarray:
@@ -136,20 +147,11 @@ def gen_signal_plus_noise(spec: GeneratorSpec) -> np.ndarray:
     """
     if spec.kind != KIND_SIGNAL_NOISE:
         raise ValueError(f"generator kind is {spec.kind!r}, not {KIND_SIGNAL_NOISE!r}")
-    a, b = spec.dims
-    r = spec.signal_rank
-    if r is None or r < 1 or r > min(a, b):
-        raise ValueError(f"signal rank {r} out of range for {a}x{b}")
-    noise = spec.noise_level
-    if noise is None or noise < 0.0 or not math.isfinite(noise):
-        raise ValueError(f"noise level must be finite and non-negative, got {noise}")
-    left = build_basis(gaussian_matrix(a, r, derive_seed(spec.seed, 0)))
-    right = build_basis(gaussian_matrix(b, r, derive_seed(spec.seed, 1)))
-    signal = left @ right.T
-    if noise == 0.0:
+    signal = _with_singular_values(spec, np.ones(spec.signal_rank))
+    if spec.noise_level == 0.0:
         return signal
-    scale = noise / math.sqrt(a * b)
-    return signal + scale * gaussian_matrix(a, b, derive_seed(spec.seed, 2))
+    a, b = spec.dims
+    return signal + spec.noise_level / math.sqrt(a * b) * gaussian_matrix(a, b, derive_seed(spec.seed, 2))
 
 
 def generate(spec: GeneratorSpec) -> np.ndarray:
@@ -200,8 +202,8 @@ def _map_draws(rows: int, cols: int, trials: int, master_seed: int, fn, workers:
     value per draw.  A chunk holds at most ``CHUNK_ENTRIES`` drawn doubles
     (one draw per chunk when a draw needs more), so memory grows with the
     number of threads, not of draws.  Chunk boundaries depend only on the
-    shapes and the draw count; a pool of ``min(workers, chunks)`` threads
-    shares the chunks, each a slice of the one key array.
+    shapes and the draw count; a pool of ``min(workers, chunks, allowed
+    CPUs)`` threads shares the chunks, each a slice of the one key array.
     """
     step = max(1, CHUNK_ENTRIES // (rows * cols))
     keys = derive_keys(master_seed, trials)
@@ -210,7 +212,8 @@ def _map_draws(rows: int, cols: int, trials: int, master_seed: int, fn, workers:
     def run(chunk: np.ndarray) -> np.ndarray:
         return fn(keyed_gaussian_matrices(rows, cols, chunk))
 
-    threads = min(workers, len(chunks))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    threads = min(workers, len(chunks), cpus)
     if threads == 1:
         values = [run(chunk) for chunk in chunks]
     else:
@@ -392,10 +395,10 @@ class MomentCheck:
 
 def _svd_pinv_energies(draws: np.ndarray) -> np.ndarray:
     """``||pinv(G)||_F^2`` of each matrix G of a stack by the SVD rule: the
-    sum of 1/sigma^2 over the singular values above ``RANK_TOL * sigma_max``,
-    as :func:`randlr.core.pseudoinverse` keeps them."""
+    sum of 1/sigma^2 over the singular values that the rank cutoff of
+    :func:`randlr.core.pseudoinverse` keeps."""
     sv = np.linalg.svd(draws, compute_uv=False)
-    inv2 = np.divide(1.0, sv**2, out=np.zeros_like(sv), where=sv > RANK_TOL * sv[:, :1])
+    inv2 = np.divide(1.0, sv**2, out=np.zeros_like(sv), where=_kept(sv))
     return inv2.sum(axis=1)
 
 
@@ -426,13 +429,6 @@ def _stack_pinv_energies(draws: np.ndarray) -> np.ndarray:
     return energies
 
 
-def _pinv_energies(r: int, s: int, trials: int, master_seed: int) -> np.ndarray:
-    """``||pinv(G_i)||_F^2`` for the r x (r+s) Gaussians G_i seeded by
-    ``derive_seed(master_seed, i)``: :func:`_stack_pinv_energies` on each
-    chunk of :func:`_map_draws`."""
-    return _map_draws(r, r + s, trials, master_seed, _stack_pinv_energies)
-
-
 def verify_gaussian_pinv_moment(r: int, s: int, trials: int, master_seed: int) -> MomentCheck:
     """Estimate E||pinv(G)||_F^2 over seeded draws of r x (r+s) Gaussians.
 
@@ -450,7 +446,7 @@ def verify_gaussian_pinv_moment(r: int, s: int, trials: int, master_seed: int) -
     if r * (r + s) > MAX_DRAW_ENTRIES:
         raise ValueError(f"one {r}x{r + s} draw has {r * (r + s)} entries, more than 2**27")
     # derive_keys rejects a negative seed and more than 2**32 trials before any draw
-    samples = _pinv_energies(r, s, trials, master_seed)
+    samples = _map_draws(r, r + s, trials, master_seed, _stack_pinv_energies)
     estimate = float(samples.mean())
     se = _std_error(samples)
     expected = r / (s - 1.0)

@@ -93,8 +93,6 @@ def sketch(F: np.ndarray, width: int, seed: int) -> np.ndarray:
     G has F's column count as height and ``width`` columns, i.i.d. standard
     normal entries; the result is deterministic per seed.
     """
-    if width < 1:
-        raise ValueError(f"sketch width must be positive, got {width}")
     return F @ gaussian_matrix(F.shape[1], width, seed)
 
 

@@ -49,3 +49,35 @@ def test_no_unused_imports(path):
 def test_unused_import_check_sees_an_orphan():
     tree = ast.parse("import json\nfrom os import path, sep\n__all__ = ['sep']\n")
     assert unused_imports(tree) == ["json", "path"]
+
+
+def unreferenced_privates(trees: list[ast.Module]) -> list[str]:
+    """Private top-level functions, classes and constants that no module
+    of ``trees`` names again, as a load or an attribute."""
+    defined = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [t.id for t in targets if isinstance(t, ast.Name)]
+    used = set()
+    for tree in trees:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                used.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                used.add(n.attr)
+    private = [name for name in defined if name.startswith("_") and not name.startswith("__")]
+    return [name for name in private if name not in used]
+
+
+def test_every_private_name_has_a_caller():
+    assert unreferenced_privates([ast.parse(path.read_text()) for path in SOURCES]) == []
+
+
+def test_private_name_check_sees_an_orphan():
+    helpers = ast.parse("_TOL = 1.0\ndef _used(): return _TOL\ndef _orphan(): pass\nclass _Gone: pass\n")
+    caller = ast.parse("from m import _used\n_used()\n")
+    assert unreferenced_privates([helpers, caller]) == ["_orphan", "_Gone"]

@@ -76,8 +76,10 @@ def test_plan_from_spectrum_json(capsys, tmp_path, diag_csv):
         '{"values": [2.0, 1.0], "source_dims": 3}',
         '{"values": [2.0, 1.0], "source_dims": [3]}',
         '{"values": [1%s], "source_dims": [3, 3]}' % ("0" * 400),  # past float64: OverflowError
+        '{"values": [2.0, 1.0], "source_dims": [2.7, 3]}',  # int() would truncate it to 2
+        '{"values": [2.0], "source_dims": [true, 3]}',  # int() would read it as 1
     ],
-    ids=["no-source-dims", "json-list", "scalar-dims", "one-dim", "huge-int"],
+    ids=["no-source-dims", "json-list", "scalar-dims", "one-dim", "huge-int", "float-dim", "bool-dim"],
 )
 def test_plan_from_malformed_spectrum_is_one_error_line(capsys, tmp_path, content):
     spec_path = tmp_path / "spec.json"

@@ -149,6 +149,13 @@ def test_gaussian_draws_are_frozen(seed, values):
     assert keyed_gaussian_matrices(2, 3, [key])[0].ravel(order="F").tolist() == values
 
 
+def test_keyed_draws_take_python_int_keys():
+    # one word below 2**63 and one above: without a uint64 dtype, numpy reads the pair as float64
+    key = [7434755675892716031, 10007452063617845036]
+    assert numpy_philox_key(1).tolist() == key
+    assert np.array_equal(keyed_gaussian_matrices(2, 3, [key])[0], gaussian_matrix(2, 3, 1))
+
+
 def test_derive_seed_fixed_mixing():
     assert derive_seed(42, 7) == derive_seed(42, 7)
     seeds = {derive_seed(42, i) for i in range(64)}

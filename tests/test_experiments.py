@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -145,6 +146,13 @@ def test_signal_noise_deterministic_and_validated():
         )
 
 
+def test_signal_at_zero_noise_is_the_unit_prescribed_spectrum():
+    # both generators build (left * values) @ right.T from the same seeded factors
+    for dims, r, seed in [((6, 5), 1, 0), ((20, 15), 4, 7), ((300, 40), 5, 2**64 + 3)]:
+        signal = GeneratorSpec(dims=dims, kind=KIND_SIGNAL_NOISE, signal_rank=r, noise_level=0.0, seed=seed)
+        assert np.array_equal(gen_signal_plus_noise(signal), prescribed(dims, (1.0,) * r, seed))
+
+
 def test_generate_dispatch():
     a = generate(GeneratorSpec(dims=(6, 5), kind=KIND_PRESCRIBED, spectrum=(2.0,), seed=1))
     b = generate(GeneratorSpec(dims=(6, 5), kind=KIND_SIGNAL_NOISE, signal_rank=1, noise_level=0.0, seed=1))
@@ -158,6 +166,16 @@ def test_generator_spec_validation():
         GeneratorSpec(dims=(5, 5), kind="mystery")
     with pytest.raises(ValueError, match="seed must be a non-negative integer"):
         GeneratorSpec(dims=(5, 5), kind=KIND_PRESCRIBED, spectrum=(1.0,), seed=-1)
+    # each kind's own fields are checked when the spec is built, before any draw
+    for spectrum, match in [((), "non-empty"), (None, "non-empty"), ((1.0, 2.0), "non-increasing")]:
+        with pytest.raises(ValueError, match=match):
+            GeneratorSpec(dims=(5, 5), kind=KIND_PRESCRIBED, spectrum=spectrum)
+    for rank in (0, 6, None):
+        with pytest.raises(ValueError, match=f"signal rank {rank} out of range for 5x6"):
+            GeneratorSpec(dims=(5, 6), kind=KIND_SIGNAL_NOISE, signal_rank=rank, noise_level=0.1)
+    for noise in (-0.1, math.inf, None):
+        with pytest.raises(ValueError, match="noise level must be finite and non-negative"):
+            GeneratorSpec(dims=(5, 6), kind=KIND_SIGNAL_NOISE, signal_rank=5, noise_level=noise)
 
 
 # --- monte_carlo ---------------------------------------------------------------
@@ -318,6 +336,7 @@ def test_square_input_chunks_by_b_times_l(monkeypatch):
 
 
 def test_pool_threads_bounded_by_chunks(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
     requested = []
 
     class Recorder(ThreadPoolExecutor):
@@ -332,6 +351,32 @@ def test_pool_threads_bounded_by_chunks(monkeypatch):
     assert requested == []  # one chunk: no pool at all
     monkeypatch.setattr(randlr.experiments, "CHUNK_ENTRIES", 5 * 40 * (r + s))  # 5 trials per chunk
     assert np.array_equal(randlr.experiments._run_trials(F, r, s, 12, 31, 10**6), serial)
+    assert requested == [3]
+
+
+def test_pool_threads_bounded_by_allowed_cpus(monkeypatch):
+    requested = []
+
+    class Recorder:  # records the pool size and runs the chunks serially: no thread starts
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return map(fn, chunks)
+
+    monkeypatch.setattr(randlr.experiments, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    monkeypatch.setattr(randlr.experiments, "CHUNK_ENTRIES", 1)  # one trial per chunk
+    F, r, s = TRIAL_CASES["tall"]()
+    serial = randlr.experiments._run_trials(F, r, s, 12, 31)
+    assert requested == []
+    assert np.array_equal(randlr.experiments._run_trials(F, r, s, 12, 31, 100000), serial)
     assert requested == [3]
 
 
@@ -459,23 +504,24 @@ def test_moment_std_error_is_the_plain_formula(idx):
     # C2's cells and seeds: the power-of-two scaling shared with bench changes no bit
     r, s = C2_CELLS[idx]
     seed = derive_seed(77, idx)
-    samples = randlr.experiments._pinv_energies(r, s, 2000, seed)
+    samples = randlr.experiments._map_draws(r, r + s, 2000, seed, randlr.experiments._stack_pinv_energies)
     check = verify_gaussian_pinv_moment(r, s, 2000, seed)
     assert check.std_error == float(samples.std(ddof=1) / math.sqrt(2000))
 
 
 @pytest.mark.parametrize("r,s", [(3, 3), (10, 11)])
 def test_moment_samples_match_pseudoinverse(r, s):
-    samples = randlr.experiments._pinv_energies(r, s, 200, master_seed=8)
+    samples = randlr.experiments._map_draws(r, r + s, 200, 8, randlr.experiments._stack_pinv_energies)
     for i, sample in enumerate(samples):
         G = gaussian_matrix(r, r + s, derive_seed(8, i))
         assert sample == pytest.approx(frobenius_norm(pseudoinverse(G)) ** 2, rel=1e-12)
 
 
 def test_moment_chunks_do_not_change_samples(monkeypatch):
-    whole = randlr.experiments._pinv_energies(2, 3, 25, master_seed=4)
+    energies = randlr.experiments._stack_pinv_energies
+    whole = randlr.experiments._map_draws(2, 5, 25, 4, energies)
     monkeypatch.setattr(randlr.experiments, "CHUNK_ENTRIES", 7 * 2 * 5)  # 7 draws per chunk
-    assert np.array_equal(randlr.experiments._pinv_energies(2, 3, 25, master_seed=4), whole)
+    assert np.array_equal(randlr.experiments._map_draws(2, 5, 25, 4, energies), whole)
 
 
 def test_moment_validates():
@@ -543,7 +589,7 @@ def test_moment_routes_are_counted(monkeypatch):
 
     monkeypatch.setattr(randlr.experiments, "_svd_pinv_energies", counting)
     for r, s in [(1, 2), (5, 6), (10, 21)]:
-        randlr.experiments._pinv_energies(r, s, 500, master_seed=11)
+        randlr.experiments._map_draws(r, r + s, 500, 11, randlr.experiments._stack_pinv_energies)
     assert routed == []  # every Gaussian draw of these runs is certified
     r, s = 4, 3
     stack = np.concatenate([keyed_gaussian_matrices(r, r + s, derive_keys(9, 6)), uncertified_draws(r, s)])
