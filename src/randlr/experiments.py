@@ -33,6 +33,7 @@ from .core import (
 from .planner import (
     MODE_SQUARED,
     MODES,
+    _is_dust,
     effective_tail_energy,
     expected_error_bound,
     plan,
@@ -477,10 +478,15 @@ def beat_baseline_experiment(
     mean is compared (strictly) against the budget.  Column selection is
     built and measured.  The truncated SVD is not: by Eckart-Young its
     squared error is the tail energy tau the report carries, so its
-    ``baseline_error`` is ``sqrt(tau)`` and its budget is tau itself in
-    squared mode (``sqrt(tau)`` in literal mode).  That budget sits on the
-    optimal-error floor, which :func:`plan` reports as an infeasible
-    outcome rather than an error: no rank-r method can be beaten there.
+    ``baseline_error`` is ``sqrt(tau)``.
+
+    A baseline on the optimal-error floor gets the floor itself as its
+    budget: tau in squared mode, ``sqrt(tau)`` in literal mode.  The
+    truncated SVD is always there.  Column selection is there when its
+    error is rounding dust by the rule that snaps tau to 0 (exact rank r,
+    or r = min(a, b)); its ``baseline_error`` stays the measured one.
+    :func:`plan` reports a budget on the floor as an infeasible outcome
+    rather than an error: no rank-r method can be beaten there.
     """
     known = [METHOD_COLUMN_SELECT, METHOD_TRUNCATED_SVD]
     if baseline not in known:
@@ -489,11 +495,14 @@ def beat_baseline_experiment(
     spectrum = singular_values(F)
     tau = effective_tail_energy(spectrum, r)
     if baseline == METHOD_TRUNCATED_SVD:
-        base_err, squared = math.sqrt(tau), tau  # Eckart-Young; sqrt(tau)**2 may round above tau
+        base_err, on_floor = math.sqrt(tau), True
     else:
         base_err = approximation_error(F, column_select(F, r))
-        squared = base_err**2
-    budget = squared if mode == MODE_SQUARED else base_err
+        on_floor = _is_dust(base_err**2, spectrum)
+    if on_floor:  # tau itself: sqrt(tau)**2 may round above it
+        budget = tau if mode == MODE_SQUARED else math.sqrt(tau)
+    else:
+        budget = base_err**2 if mode == MODE_SQUARED else base_err
     chosen = plan(spectrum, r, budget, mode)
     config = _config("beat", F, r, trials, master_seed, mode, tau)
     config.update(baseline=baseline, baseline_error=base_err, plan=chosen.to_dict())

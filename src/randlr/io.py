@@ -2,9 +2,11 @@
 
 Matrix Market files are written in the dense ``array`` layout and read in
 either the ``array`` or the sparse ``coordinate`` layout.  Values are
-written with enough decimal digits that reading a file back reproduces
-the float64 entries bit for bit.  A malformed file is a ValueError whose
-message starts with the file's path.
+written with the fewest decimal digits that read back as the same float64,
+so a file reproduces its entries bit for bit, except that scipy's reader
+reads ``-0`` as ``+0.0``.  CSV keeps the sign of zero.  A malformed file
+is a ValueError, and a failed write an OSError, whose message starts with
+the file's path.
 """
 
 from __future__ import annotations
@@ -26,9 +28,6 @@ __all__ = [
     "write_csv",
 ]
 
-# 17 significant decimal digits round-trip any float64 exactly.
-_MM_PRECISION = 17
-
 # Guards scipy's module-global Matrix Market thread count while a call
 # has it changed, so concurrent callers always restore the caller's value.
 _MM_THREADS_LOCK = threading.Lock()
@@ -40,9 +39,9 @@ def _mm_threads():
 
     scipy's default (``PARALLELISM = 0``) starts one thread per CPU of the
     machine, ignoring the affinity mask.  A second thread only pays on large
-    files on an unpinned host (on two CPUs of an x86-64 host: writes of 2.8
-    MB 21.7 vs 29.9 ms, reads from about 24 MB up), and on two or more
-    threads fmm dies of SIGFPE reading an ``array`` file with zero rows.
+    reads on an unpinned host (on two CPUs of an x86-64 host, from about 24
+    MB up; writes of 2.5 MB gained nothing), and on two or more threads fmm
+    dies of SIGFPE reading an ``array`` file with zero rows.
     """
     import scipy.io._fast_matrix_market as fmm
 
@@ -55,16 +54,34 @@ def _mm_threads():
             fmm.PARALLELISM = saved
 
 
+@contextlib.contextmanager
+def _writing(path, mode, **kwargs):
+    """``open(path, mode, **kwargs)`` whose write and close errors name the
+    file, as open's own errors do."""
+    fh = open(path, mode, **kwargs)
+    try:
+        with fh:
+            yield fh
+    except OSError as exc:
+        raise OSError(f"{path}: {exc}") from exc
+
+
 def write_matrix_market(path, M) -> None:
-    """Write M in Matrix Market format, dense ``array`` layout."""
+    """Write M in Matrix Market format, dense ``array`` layout, to exactly ``path``.
+
+    Each value is scipy's shortest decimal that reads back as the same
+    float64 (``1E-1``, ``1.4991458051130726``, ``5E-324``, ``0``).
+    """
     # scipy is imported here, not at module level: only Matrix Market I/O
     # needs it, and it makes up most of the package's import time
     import scipy.io
 
     M = as_matrix(M)
-    # pass a handle so scipy does not append its own .mtx suffix
-    with open(path, "wb") as fh, _mm_threads():
-        scipy.io.mmwrite(fh, M, precision=_MM_PRECISION)
+    # A handle, not the path: given a path, scipy appends .mtx to any other
+    # name and returns normally when its writes fail.  scipy writes 1 KiB at
+    # a time; the 1 MiB buffer turns that into a few system calls.
+    with _writing(path, "wb", buffering=1 << 20) as fh, _mm_threads():
+        scipy.io.mmwrite(fh, M)
 
 
 def read_matrix_market(path) -> np.ndarray:
@@ -85,7 +102,7 @@ def read_matrix_market(path) -> np.ndarray:
 def write_csv(path, M) -> None:
     """Write M as comma-separated rows, one matrix row per line, no header."""
     M = as_matrix(M)
-    with open(path, "w") as fh:
+    with _writing(path, "w") as fh:
         for row in M:
             fh.write(",".join(repr(float(x)) for x in row))
             fh.write("\n")

@@ -76,6 +76,16 @@ def tail_energy(spectrum, r: int) -> float:
     return _sum_of_squares(vals[r:])
 
 
+def _is_dust(energy: float, spectrum: SingularSpectrum) -> bool:
+    """Whether a squared error ``energy`` of a rank-r approximation is
+    rounding dust: spread over the spectrum's values, it is at or below the
+    pseudoinverse rank cutoff ``RANK_TOL * sigma_max``."""
+    if not len(spectrum.values) or spectrum.values[0] <= 0.0:
+        return False
+    # In norm units: squaring RANK_TOL * sigma_max overflows past sigma_max ~1e166.
+    return math.sqrt(energy / len(spectrum)) <= RANK_TOL * spectrum.values[0]
+
+
 def effective_tail_energy(spectrum: SingularSpectrum, r: int) -> float:
     """Tail energy with values at the numerical-rank noise floor snapped to 0.
 
@@ -84,11 +94,7 @@ def effective_tail_energy(spectrum: SingularSpectrum, r: int) -> float:
     matrix measured through floating point would block every small budget.
     """
     tau = tail_energy(spectrum, r)
-    if len(spectrum.values) and spectrum.values[0] > 0.0:
-        # In norm units: squaring RANK_TOL * sigma_max overflows past sigma_max ~1e166.
-        if math.sqrt(tau / len(spectrum)) <= RANK_TOL * spectrum.values[0]:
-            return 0.0
-    return tau
+    return 0.0 if _is_dust(tau, spectrum) else tau
 
 
 def expected_error_bound(r: int, s: int, tau: float) -> float:

@@ -290,6 +290,32 @@ def test_beat_svd_baseline_in_literal_mode_exits_infeasible(capsys, tmp_path):
     assert data["config"]["plan"]["reason"] == "below Eckart-Young floor"
 
 
+@pytest.mark.parametrize("case", ["exact-rank", "full-rank"])
+def test_beat_colsel_exact_to_rounding_exits_infeasible(capsys, tmp_path, case):
+    # Column selection is exact to rounding on a rank-2 input at --rank 2,
+    # and on any input at r = min(a, b).  Its error (1.6e-14 and 2.6e-15
+    # here) is the floor, not a budget to plan against.
+    if case == "exact-rank":
+        rng = np.random.default_rng(3)
+        F, rank = rng.standard_normal((40, 2)) @ rng.standard_normal((2, 30)), "2"
+    else:
+        F, rank = np.random.default_rng(0).standard_normal((8, 6)), "6"
+    mat = tmp_path / "exact.csv"
+    write_csv(mat, F)
+    for mode in ("squared-consistent", "literal"):
+        code, out, err = run_cli(
+            capsys,
+            ["beat", str(mat), "--rank", rank, "--baseline", "colsel", "--trials", "20",
+             "--seed", "1", "--mode", mode],
+        )
+        assert code == 2 and err == ""
+        data = json.loads(out)
+        assert data["verdict"] == "not-applicable" and data["per_trial_errors"] == []
+        assert data["config"]["plan"]["reason"] == "below Eckart-Young floor"
+        assert 0.0 < data["config"]["baseline_error"] < 1e-13
+        assert data["epsilon"] == data["config"]["tail_energy"] == 0.0
+
+
 def test_gen_spectrum_file(capsys, tmp_path):
     out_path = tmp_path / "gen.mtx"
     code, out, _ = run_cli(
@@ -333,6 +359,53 @@ def test_gen_csv_extension(capsys, tmp_path):
     )
     assert code == 0
     assert read_matrix(out_path).shape == (6, 5)
+
+
+def unwritable(tmp_path, case, suffix=".mtx"):
+    """An output path that cannot be written: in a missing directory, a
+    directory itself, or a symlink to /dev/full, where every write fails."""
+    if case == "missing-dir":
+        return tmp_path / "missing" / f"out{suffix}"
+    path = tmp_path / f"out{suffix}"
+    if case == "directory":
+        path.mkdir()
+    else:
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        path.symlink_to("/dev/full")
+    return path
+
+
+def assert_write_error(code, out, err, path):
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+
+
+@pytest.mark.parametrize(
+    "case, suffix",
+    [("missing-dir", ".mtx"), ("directory", ".mtx"), ("full", ".mtx"), ("full", ".csv")],
+)
+def test_gen_write_error_is_one_error_line_naming_the_file(capsys, tmp_path, case, suffix):
+    path = unwritable(tmp_path, case, suffix)
+    code, out, err = run_cli(
+        capsys,
+        ["gen", "spectrum", "--dims", "6", "5", "--values", "1", "--seed", "8", "--out", str(path)],
+    )
+    assert_write_error(code, out, err, path)
+    if case == "full":
+        assert err == f"error: {path}: [Errno 28] No space left on device\n"
+    assert not os.path.exists(f"{path}.mtx")  # written under no other name
+
+
+def test_approx_write_error_is_one_error_line_naming_the_file(capsys, tmp_path, bench_matrix):
+    prefix = unwritable(tmp_path, "missing-dir", suffix="")
+    code, out, err = run_cli(
+        capsys,
+        ["approx", bench_matrix, "--rank", "3", "--oversample", "2", "--seed", "7",
+         "--out-prefix", str(prefix)],
+    )
+    assert_write_error(code, out, err, f"{prefix}_H.mtx")
 
 
 def test_moment_command(capsys):

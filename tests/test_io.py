@@ -39,6 +39,58 @@ def test_matrix_market_array_roundtrip(tmp_path, awkward_matrix):
     assert np.array_equal(back, awkward_matrix)
 
 
+# The extremes of float64: subnormals, the normal boundary and the one
+# below it, the largest value, and decimals that 17 digits would misprint.
+EDGE_VALUES = [
+    5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308, 2.225073858507201e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, 1.0 / 3.0, 0.1, 1e23,
+]
+
+
+def test_matrix_market_shortest_digits_round_trip_every_bit(tmp_path):
+    rng = np.random.default_rng(2018)
+    bits = rng.integers(0, 2**64, size=110_000, dtype=np.uint64, endpoint=False)
+    values = bits.view(np.float64)
+    values = values[np.isfinite(values) & (bits != 1 << 63)][:100_000]  # -0.0: see below
+    M = np.concatenate([values, EDGE_VALUES]).reshape(-1, 10)
+    path = tmp_path / "bits.mtx"
+    write_matrix_market(path, M)
+    assert np.array_equal(read_matrix_market(path).view(np.uint64), M.view(np.uint64))
+
+
+def test_matrix_market_reads_negative_zero_as_positive_zero(tmp_path):
+    # scipy writes -0.0 as "-0" and its reader drops the sign; at 17 digits
+    # it wrote "-0.0000000000000000e+00" and dropped it too.  CSV keeps it.
+    M = np.array([[-0.0, 1.0]])
+    path = tmp_path / "z.mtx"
+    write_matrix_market(path, M)
+    assert path.read_text().splitlines()[-2] == "-0"
+    back = read_matrix_market(path)
+    assert back[0, 0] == 0.0 and not np.signbit(back[0, 0])
+    write_csv(tmp_path / "z.csv", M)
+    assert np.signbit(read_csv(tmp_path / "z.csv")[0, 0])
+
+
+def test_matrix_market_formatting_is_frozen(tmp_path):
+    # scipy's shortest round-trip format; a scipy that changes it fails here
+    # before any written file changes unnoticed.
+    path = tmp_path / "f.mtx"
+    write_matrix_market(path, np.array([[0.1, 1.4991458051130726, 5e-324, 0.0, -1.7976931348623157e308]]).T)
+    assert path.read_text() == (
+        "%%MatrixMarket matrix array real general\n%\n5 1\n"
+        "1E-1\n1.4991458051130726\n5E-324\n0\n-1.7976931348623157E308\n"
+    )
+
+
+def test_matrix_market_written_under_exactly_the_name_given(tmp_path, awkward_matrix):
+    names = ["a.mtx", "b.mm", "c"]
+    for name in names:
+        write_matrix_market(tmp_path / name, awkward_matrix)
+    assert sorted(os.listdir(tmp_path)) == names
+    contents = {(tmp_path / name).read_bytes() for name in names}
+    assert len(contents) == 1
+
+
 def test_matrix_market_coordinate_roundtrip(tmp_path, awkward_matrix):
     import scipy.io
     import scipy.sparse
