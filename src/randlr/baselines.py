@@ -49,6 +49,7 @@ def column_select(F: np.ndarray, r: int) -> FactoredApproximation:
     """
     check_rank(r, F.shape)
     resid = np.array(F, dtype=np.float64)
+    deflation = np.empty_like(resid)
     picked: list[int] = []
     for _ in range(r):
         with np.errstate(over="ignore"):
@@ -64,7 +65,7 @@ def column_select(F: np.ndarray, r: int) -> FactoredApproximation:
         nrm = np.linalg.norm(col)
         if nrm > 0.0:
             q = col / nrm
-            resid -= np.outer(q, q @ resid)
+            resid -= np.multiply(q[:, None], q @ resid, out=deflation)
     basis, _ = thin_qr(F[:, picked])
     return FactoredApproximation(
         basis=basis,

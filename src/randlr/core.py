@@ -19,9 +19,10 @@ seed) triple is reproducible, whether drawn alone (:func:`gaussian_matrix`)
 or in a stack (:func:`keyed_gaussian_matrices`), and independent substreams
 are derived with :func:`derive_seed`.  A stack is drawn from Philox keys,
 ``SeedSequence(seed).generate_state(2, np.uint64)``.  randlr computes
-numpy's SeedSequence hash itself, on Python ints for one seed and on uint64
-arrays for a batch, so :func:`derive_keys` derives every trial's key in one
-numpy pass, bit for bit the key numpy would build.
+numpy's SeedSequence hash itself, with one set of constants and one mix
+rule: on Python ints for one seed, and on uint32 arrays for a batch, so
+:func:`derive_keys` derives every trial's key in one pass, bit for bit the
+key numpy would build.
 
 All functions are pure and never mutate their arguments.  LAPACK failures
 surface as ``numpy.linalg.LinAlgError``, a ``ValueError``.
@@ -29,7 +30,9 @@ surface as ``numpy.linalg.LinAlgError``, a ``ValueError``.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
@@ -101,6 +104,9 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
+#: The pool words each pool word is mixed into, in numpy's order.
+_OTHERS = tuple([dst for dst in range(_POOL_SIZE) if dst != src] for src in range(_POOL_SIZE))
+
 
 def _seed_words(n, name: str = "seed") -> list[int]:
     """numpy's split of a non-negative integer into little-endian uint32 words."""
@@ -113,38 +119,71 @@ def _seed_words(n, name: str = "seed") -> list[int]:
     return words
 
 
-def _seed_sequence(entropy: list, n_words: int) -> list:
-    """``SeedSequence(entropy).generate_state(n_words)`` as uint32 words.
+def _hash_constants(h: int, mult: int) -> Iterator[tuple[int, int]]:
+    """numpy's running hash constant from ``h``: the (xor, multiply) pair of
+    each successive hashmix, which XORs ``h`` in, advances it by ``mult``
+    and multiplies by the new value."""
+    while True:
+        yield h, (h := h * mult & _MASK32)
 
-    Each entropy word is a Python int or a uint64 array of uint32 values
-    (one element per seed).  Every product and difference is masked to 32
-    bits, so the same code runs on both: words that are Python ints are
-    hashed in Python arithmetic, and arrays only enter where they appear.
-    Each hash XORs the running constant ``h``, advances ``h``, multiplies
-    by it and folds the high half in.
+
+# The constant table: the pool's pairs for up to eight entropy words (a
+# master seed below 2**192 with a two-word spawn index, or any seed of a
+# Philox key), and the first four output pairs.
+_POOL_PAIRS = list(islice(_hash_constants(_INIT_A, _MULT_A), 8 * _POOL_SIZE))
+_OUT_PAIRS = list(islice(_hash_constants(_INIT_B, _MULT_B), _POOL_SIZE))
+
+
+def _hashmix(value, xor, mult):
+    """numpy's hashmix of ``value`` with one (xor, multiply) constant pair.
+
+    This and :func:`_mix` are the hash's one rule, for Python ints and
+    uint32 arrays alike: Python ints need the mask, uint32 arrays wrap by
+    themselves, and array constants broadcast along an array ``value``.
     """
-    h = _INIT_A
-    pool = []
-    for i in range(_POOL_SIZE):  # the first words fill the pool, zeros past the end
-        v = ((entropy[i] if i < len(entropy) else 0) ^ h) * (h := h * _MULT_A & _MASK32) & _MASK32
-        pool.append(v ^ v >> 16)
-    for src in range(_POOL_SIZE):  # every pool word into every other
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                v = (pool[src] ^ h) * (h := h * _MULT_A & _MASK32) & _MASK32
-                m = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * (v ^ v >> 16)) & _MASK32
-                pool[dst] = m ^ m >> 16
+    v = value ^ xor
+    v *= mult
+    if isinstance(v, int):
+        v &= _MASK32
+    return v ^ v >> 16
+
+
+def _mix(x, y):
+    """numpy's mix of a hashed word ``y`` into pool word ``x`` (both Python
+    ints, or both uint32 arrays)."""
+    m = x * _MIX_MULT_L - y * _MIX_MULT_R
+    if isinstance(m, int):
+        m &= _MASK32
+    return m ^ m >> 16
+
+
+def _hash_pool(entropy: list) -> tuple[list[int], Iterator[tuple[int, int]]]:
+    """numpy's pool after mixing in ``entropy`` (uint32 words as Python
+    ints), and the running constants that the next entropy word would use."""
+    consts = chain(_POOL_PAIRS, _hash_constants(_POOL_PAIRS[-1][1], _MULT_A))
+    # the first words fill the pool, zeros past the end
+    pool = [_hashmix(entropy[i] if i < len(entropy) else 0, *next(consts)) for i in range(_POOL_SIZE)]
+    for src, dsts in enumerate(_OTHERS):  # every pool word into every other
+        for dst in dsts:
+            pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(consts)))
     for word in entropy[_POOL_SIZE:]:  # then each remaining word into all
         for dst in range(_POOL_SIZE):
-            v = (word ^ h) * (h := h * _MULT_A & _MASK32) & _MASK32
-            m = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * (v ^ v >> 16)) & _MASK32
-            pool[dst] = m ^ m >> 16
-    h = _INIT_B
-    out = []
-    for i in range(n_words):  # generate_state cycles through the pool
-        v = (pool[i % _POOL_SIZE] ^ h) * (h := h * _MULT_B & _MASK32) & _MASK32
-        out.append(v ^ v >> 16)
-    return out
+            pool[dst] = _mix(pool[dst], _hashmix(word, *next(consts)))
+    return pool, consts
+
+
+def _columns(pairs: list) -> np.ndarray:
+    """Constant pairs as a (2, len(pairs), 1) uint32 array: a column of xor
+    and a column of multiply constants, to broadcast along a batch."""
+    return np.array(pairs, dtype=np.uint32).T[:, :, None]
+
+
+# derive_keys' columns of the table.  A Philox key hashes a seed of at most
+# two words, so its pool takes the pairs of a four-word fill and of the
+# twelve pool-mixing steps, three per source word.
+_KEY_FILL = _columns(_POOL_PAIRS[:_POOL_SIZE])
+_KEY_MIX = [_columns(_POOL_PAIRS[_POOL_SIZE + 3 * src : _POOL_SIZE + 3 * src + 3]) for src in range(_POOL_SIZE)]
+_KEY_OUT = _columns(_OUT_PAIRS)
 
 
 def _spawn_entropy(master_seed: int, index_words: list) -> list:
@@ -161,8 +200,8 @@ def derive_seed(master_seed: int, index: int) -> int:
     spawn_key=(index,))`` folded to its first 64-bit word.  Serial and
     parallel schedules that agree on indices therefore agree on streams.
     """
-    lo, hi = _seed_sequence(_spawn_entropy(master_seed, _seed_words(index, "index")), 2)
-    return lo | hi << 32
+    pool, _ = _hash_pool(_spawn_entropy(master_seed, _seed_words(index, "index")))
+    return _hashmix(pool[0], *_OUT_PAIRS[0]) | _hashmix(pool[1], *_OUT_PAIRS[1]) << 32
 
 
 #: Identifier for the substream derivation above and the sampler that draws
@@ -177,16 +216,29 @@ def derive_keys(master_seed: int, count: int) -> np.ndarray:
     """Philox keys of the streams ``derive_seed(master_seed, i)``, i < count.
 
     Row i is ``SeedSequence(derive_seed(master_seed, i)).generate_state(2,
-    np.uint64)``, computed for all indices in one numpy pass.  The master
-    seed's words and the pool mixing they share are hashed once; only the
-    index word and what it touches run on arrays.
+    np.uint64)``, computed for all indices in one pass over uint32 arrays.
+    The master seed's words are hashed once on Python ints, as in
+    :func:`derive_seed`; only the index word and what it touches run on the
+    arrays, whose wrap-around arithmetic is the hash's modulo 2**32.  A
+    pool word's updates of the other three are independent of each other,
+    so they run as one (3, count) operation.
     """
     if count > MAX_TRIALS:
         raise ValueError(f"trials must be at most 2**32, got {count}")
-    index = np.arange(count, dtype=np.uint64)
-    seed_words = _seed_sequence(_spawn_entropy(master_seed, [index]), 2)
-    w = _seed_sequence(seed_words, 4)  # little-endian uint32 halves of the two key words
-    return np.stack([w[0] | w[1] << 32, w[2] | w[3] << 32], axis=1)
+    pool, consts = _hash_pool(_spawn_entropy(master_seed, []))
+    # The index word enters every pool word, but derive_seed's two output
+    # words read only pool words 0 and 1.
+    index = np.arange(count, dtype=np.uint32)
+    pool01 = np.array(pool[:2], dtype=np.uint32)[:, None]
+    mixed = _mix(pool01, _hashmix(index, *_columns([next(consts), next(consts)])))
+    # derive_seed's low and high words, then two zero words, fill the key's pool
+    seed_words = np.zeros((_POOL_SIZE, count), dtype=np.uint32)
+    seed_words[:2] = _hashmix(mixed, *_KEY_OUT[:, :2])
+    key_pool = _hashmix(seed_words, *_KEY_FILL)
+    for src, dsts in enumerate(_OTHERS):
+        key_pool[dsts] = _mix(key_pool[dsts], _hashmix(key_pool[src], *_KEY_MIX[src]))
+    words = _hashmix(key_pool, *_KEY_OUT)  # little-endian uint32 halves of the two key words
+    return words.T.astype("<u4", order="C").view("<u8")
 
 
 def _check_dims(rows: int, cols: int) -> None:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -76,6 +75,10 @@ CHUNK_ENTRIES = 1 << 15
 
 # Entries of one moment draw (1 GiB of float64), checked before anything is drawn.
 MAX_DRAW_ENTRIES = 1 << 27
+
+# concurrent.futures.ThreadPoolExecutor, imported when the first pool starts:
+# a serial run never loads concurrent.futures (nor the logging it imports).
+ThreadPoolExecutor = None
 
 
 def _fields_dict(obj, **extra) -> dict:
@@ -218,6 +221,11 @@ def _map_draws(rows: int, cols: int, trials: int, master_seed: int, fn, workers:
     if threads == 1:
         values = [run(chunk) for chunk in chunks]
     else:
+        global ThreadPoolExecutor
+        if ThreadPoolExecutor is None:
+            from concurrent import futures
+
+            ThreadPoolExecutor = futures.ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             values = list(pool.map(run, chunks))
     return np.concatenate(values)
@@ -403,26 +411,53 @@ def _svd_pinv_energies(draws: np.ndarray) -> np.ndarray:
     return inv2.sum(axis=1)
 
 
+def _upper_inverse(R: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of upper-triangular matrices, by halves.
+
+    ``inv([[A, B], [0, D]]) = [[inv(A), -inv(A) B inv(D)], [0, inv(D)]]``,
+    applied down to the 1x1 blocks: the diagonal is one batched reciprocal,
+    and each block above it one batched product of blocks already
+    inverted.  The blocked inversion of Du Croz & Higham (IMA J. Numer.
+    Anal. 12, 1992), batched; a matrix's inverse depends on that matrix
+    alone.  The diagonals must be nonzero; a tiny one overflows to inf or
+    NaN rather than raising.
+    """
+    n, r, _ = R.shape
+    X = np.zeros((n, r, r))
+    X.reshape(n, r * r)[:, :: r + 1] = 1.0 / np.diagonal(R, axis1=1, axis2=2)
+
+    def fill(lo: int, hi: int) -> None:
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            fill(lo, mid)
+            fill(mid, hi)
+            X[:, lo:mid, mid:hi] = -(X[:, lo:mid, lo:mid] @ R[:, lo:mid, mid:hi] @ X[:, mid:hi, mid:hi])
+
+    fill(0, r)
+    return X
+
+
 def _stack_pinv_energies(draws: np.ndarray) -> np.ndarray:
     """``||pinv(G)||_F^2`` of each r x (r+s) matrix G of a stack, from the R
     factor of ``G^T = Q R`` wherever a certificate proves it equal to the SVD
     rule of :func:`_svd_pinv_energies`.
 
     For full-rank G, ``pinv(G) = Q R^{-T}``, so ``||pinv(G)||_F^2 =
-    ||R^{-1}||_F^2``: one batched QR and one batched inverse of r x r
-    triangles.  A draw takes that value only when every diagonal entry of R
-    is nonzero and ``||R||_F^2 ||R^{-1}||_F^2 < RANK_TOL**-2``.  Because
-    ``||R||_F >= sigma_max`` and ``||R^{-1}||_F >= 1/sigma_min``, that proves
-    ``sigma_min > RANK_TOL * sigma_max``, so the SVD rule would keep every
-    singular value and both compute the same sum.  Every other draw goes
-    through the SVD rule itself.  The route and the value of a draw depend
-    on that draw's numbers alone, never on the rest of the stack.
+    ||R^{-1}||_F^2``: one batched QR and one batched inversion of the r x r
+    triangles (:func:`_upper_inverse`).  A draw takes that value only when
+    every diagonal entry of R is nonzero and ``||R||_F^2 ||R^{-1}||_F^2 <
+    RANK_TOL**-2``.  Because ``||R||_F >= sigma_max`` and ``||R^{-1}||_F >=
+    1/sigma_min``, that proves ``sigma_min > RANK_TOL * sigma_max``, so the
+    SVD rule would keep every singular value and both compute the same sum.
+    Every other draw goes through the SVD rule itself.  The route and the
+    value of a draw depend on that draw's numbers alone, never on the rest
+    of the stack.
     """
     R = np.linalg.qr(draws.transpose(0, 2, 1), mode="r")  # the sampler's contiguous G^T stack
     full = (np.diagonal(R, axis1=1, axis2=2) != 0.0).all(axis=1)
-    R[~full] = np.eye(R.shape[1])  # so inv cannot fail on the stack; these draws take the SVD rule
-    Rinv = np.linalg.inv(R)
+    R[~full] = np.eye(R.shape[1])  # no zero to divide by; these draws take the SVD rule
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN fails the certificate
+        Rinv = _upper_inverse(R)
         energies = np.einsum("nij,nij->n", Rinv, Rinv)
         certified = full & (np.einsum("nij,nij->n", R, R) * energies < RANK_TOL**-2)
     if not certified.all():

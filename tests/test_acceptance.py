@@ -8,9 +8,11 @@ prints).  Every tolerance is pinned here, not configurable.
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -229,6 +231,7 @@ def test_criterion_7_bench_determinism(tmp_path):
     rng = np.random.default_rng(1717)
     matrix_path = tmp_path / "det.mtx"
     write_matrix_market(matrix_path, rng.standard_normal((30, 25)))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
 
     def run_bench(workers):
         cmd = [
@@ -236,7 +239,7 @@ def test_criterion_7_bench_determinism(tmp_path):
             "--rank", "4", "--oversample", "3", "--trials", "400",
             "--seed", "321", "--workers", str(workers),
         ]
-        proc = subprocess.run(cmd, capture_output=True, check=False)
+        proc = subprocess.run(cmd, env=env, capture_output=True, check=False)
         if proc.returncode != 0:
             failures.append(f"bench exited {proc.returncode}: {proc.stderr!r}")
         return proc.stdout

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from randlr.baselines import column_select, truncated_svd
-from randlr.core import frobenius_norm, singular_values
+from randlr.core import frobenius_norm, singular_values, thin_qr
 from randlr.planner import tail_energy
 from randlr.rangefinder import METHOD_COLUMN_SELECT, METHOD_TRUNCATED_SVD, approximation_error
 
@@ -119,3 +119,26 @@ def test_column_select_overflowing_column_norm_is_value_error():
     F[0, 1] = 1.0
     with np.errstate(all="raise"), pytest.raises(ValueError, match="overflows float64"):
         column_select(F, 2)
+
+
+def column_select_with_outer(F, r):
+    """column_select's picks and basis as computed before its deflation buffer."""
+    resid = np.array(F, dtype=np.float64)
+    picked = []
+    for _ in range(r):
+        norms = np.einsum("ij,ij->j", resid, resid)
+        norms[picked] = -1.0
+        j = int(np.argmax(norms))
+        picked.append(j)
+        nrm = np.linalg.norm(resid[:, j])
+        if nrm > 0.0:
+            q = resid[:, j] / nrm
+            resid -= np.outer(q, q @ resid)
+    return thin_qr(F[:, picked])[0]
+
+
+@pytest.mark.parametrize("a,b,r", [(3000, 40, 8), (60, 40, 3), (30, 50, 12)])
+def test_column_select_deflation_buffer_changes_no_bit(a, b, r):
+    rng = np.random.default_rng(a + b + r)
+    F = rng.standard_normal((a, r)) @ rng.standard_normal((r, b)) + 0.1 * rng.standard_normal((a, b))
+    assert np.array_equal(column_select(F, r).basis, column_select_with_outer(F, r))

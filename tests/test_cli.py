@@ -583,6 +583,16 @@ def test_malformed_matrix_file_prints_no_traceback(tmp_path):
     assert proc.stderr == f"error: {path}: Line 3: Integer out of range.\n"
 
 
+def test_import_cli_loads_neither_scipy_nor_a_thread_pool():
+    # scipy is only for Matrix Market files and concurrent.futures only for a
+    # pool of workers; a fresh interpreter pays for neither at import
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    script = "import sys, randlr.cli\nprint([m for m in ('scipy', 'concurrent.futures') if m in sys.modules])\n"
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("exc,line", [
     (MemoryError("Unable to allocate 7.45 GiB"), "error: Unable to allocate 7.45 GiB\n"),
     (MemoryError(), "error: MemoryError\n"),

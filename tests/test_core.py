@@ -202,6 +202,17 @@ def test_derive_keys_match_numpy(master_seed):
         assert np.array_equal(key, numpy_philox_key(numpy_derive_seed(master_seed, i))), i
 
 
+@pytest.mark.parametrize("count", [0, 1, 2, 2**16 + 1])
+@pytest.mark.parametrize("master_seed", [0, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 3, 2**130 + 12345, 2**300 + 7])
+def test_derive_keys_first_and_last_match_numpy(master_seed, count):
+    # a master seed of five words or more mixes its extra words before the
+    # index word; one of ten words runs past the table of constant pairs
+    keys = derive_keys(master_seed, count)
+    assert keys.shape == (count, 2) and keys.dtype == np.uint64
+    for i in sorted({0, count - 1}) if count else []:
+        assert np.array_equal(keys[i], numpy_philox_key(numpy_derive_seed(master_seed, i))), i
+
+
 @pytest.mark.parametrize("count", [1, 50])
 @pytest.mark.parametrize("rows,cols", [(1, 1), (7, 3), (5, 9)])
 def test_keyed_stack_matches_numpy_streams(rows, cols, count):

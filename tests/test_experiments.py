@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -577,6 +578,46 @@ def test_moment_uncertified_draws_take_the_svd_rule():
     assert np.array_equal(np.delete(energies, [2, 6]), alone)
     for i, draw in enumerate(gaussians):
         assert randlr.experiments._stack_pinv_energies(draw[None])[0] == alone[i]
+
+
+@pytest.mark.parametrize("scale_exp", [0, 500, -500])
+@pytest.mark.parametrize("r", [1, 2, 3, 5, 8, 10, 30, 100, 400])
+def test_upper_inverse_matches_numpy_inv(r, scale_exp):
+    # the moment's R factors, as many as one chunk holds (at least one)
+    s = 3
+    count = max(1, randlr.experiments.CHUNK_ENTRIES // (r * (r + s)))
+    draws = keyed_gaussian_matrices(r, r + s, derive_keys(r, count))
+    R = np.ldexp(np.linalg.qr(draws.transpose(0, 2, 1), mode="r"), scale_exp)
+    X = randlr.experiments._upper_inverse(R)
+    assert np.array_equal(np.tril(X, -1), np.zeros_like(X))
+    # scaling by a power of two scales every rounding step: compare at unit scale
+    unit = np.ldexp(X, scale_exp)
+    ref = np.ldexp(np.linalg.inv(R), scale_exp)
+    err = np.linalg.norm(unit - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
+    assert err.max() <= 1e-13, err.max()
+    if scale_exp:
+        assert np.array_equal(unit, randlr.experiments._upper_inverse(np.ldexp(R, -scale_exp)))
+
+
+def test_moment_draw_whose_inverse_overflows_takes_the_svd_rule():
+    # a row of 1e-310 (subnormal) puts 1e-310 on the diagonal of R, and its
+    # reciprocal overflows: the certificate fails on inf or NaN
+    r, s = 4, 3
+    gaussians = keyed_gaussian_matrices(r, r + s, derive_keys(5, 3))
+    tiny = gaussians[1].copy()
+    tiny[2] = 1e-310 * build_basis(gaussian_matrix(r + s, 1, 4))[:, 0]
+    R = np.linalg.qr(tiny.T, mode="r")
+    assert 0.0 < abs(R[2, 2]) < 1e-300
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(randlr.experiments._upper_inverse(R[None])).all()
+    stack = np.stack([gaussians[0], tiny, gaussians[2]])
+    with warnings.catch_warnings():  # the inf and NaN warn of nothing past the certificate
+        warnings.simplefilter("error", RuntimeWarning)
+        energies = randlr.experiments._stack_pinv_energies(stack)
+    assert energies[1] == randlr.experiments._svd_pinv_energies(tiny[None])[0]
+    assert np.isfinite(energies[1])  # the SVD rule dropped sigma = 1e-310
+    alone = randlr.experiments._stack_pinv_energies(gaussians)
+    assert energies[0] == alone[0] and energies[2] == alone[2]
 
 
 def test_moment_routes_are_counted(monkeypatch):
