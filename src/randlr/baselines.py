@@ -38,35 +38,46 @@ def truncated_svd(F: np.ndarray, r: int) -> FactoredApproximation:
     )
 
 
+def _greedy_picks(F: np.ndarray, r: int) -> np.ndarray:
+    """The r column indices that :func:`column_select` picks, in order."""
+    F = np.asarray(F, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        norms = np.einsum("ij,ij->j", F, F)
+    if not np.isfinite(norms).all():  # a residual's norm never exceeds its column's
+        raise ValueError("squared column norm overflows float64; rescale the input")
+    exact = norms.copy()  # each squared norm as last computed from its column
+    Qt, C = np.zeros((r, F.shape[0])), np.zeros((r, F.shape[1]))  # C = Q^T F
+    picked = np.empty(r, dtype=np.intp)
+    for k in range(r):
+        picked[k] = j = int(np.argmax(norms))
+        norms[j] = exact[j] = -np.inf  # never picked nor recomputed again
+        q = F[:, j] - C[:k, j] @ Qt[:k]
+        q -= (Qt[:k] @ q) @ Qt[:k]
+        nrm = np.linalg.norm(q)
+        if nrm > 0.0:
+            Qt[k] = q / nrm
+            C[k] = Qt[k] @ F
+        norms -= C[k] ** 2
+        stale = np.flatnonzero(norms < 2.0**-26 * exact)  # below sqrt(eps) of exact
+        if len(stale):
+            resid = F[:, stale] - Qt[: k + 1].T @ C[: k + 1, stale]
+            norms[stale] = exact[stale] = np.einsum("ij,ij->j", resid, resid)
+    return picked
+
+
 def column_select(F: np.ndarray, r: int) -> FactoredApproximation:
     """Greedy column selection: r columns picked by largest residual norm.
 
-    After each pick the chosen direction is projected out of the remaining
-    columns, so near-duplicates of an already-picked column do not get
-    picked again.  Ties break toward the lowest column index, making the
-    output fully deterministic.  A column whose squared norm overflows
-    float64 is a ValueError.
+    Businger and Golub's pivoting rule (Numer. Math. 7, 1965), so a near-
+    duplicate of a picked column is not picked again; ties break toward
+    the lowest column index.  As in LAPACK's ``dgeqp3``, the squared
+    residual norms are down-dated by each pick's coefficients ``Q^T F``;
+    one below ``sqrt(eps)`` of its last exact value has lost its digits to
+    cancellation and is recomputed (Drmač and Bujanović, SIMAX 29(4),
+    2008).  A column whose squared norm overflows float64 is a ValueError.
     """
     check_rank(r, F.shape)
-    resid = np.array(F, dtype=np.float64)
-    deflation = np.empty_like(resid)
-    picked: list[int] = []
-    for _ in range(r):
-        with np.errstate(over="ignore"):
-            norms = np.einsum("ij,ij->j", resid, resid)
-        if not np.isfinite(norms).all():
-            # An overflowed norm would make the pick's direction zero and
-            # silently skip its deflation.
-            raise ValueError("squared column norm overflows float64; rescale the input")
-        norms[picked] = -1.0
-        j = int(np.argmax(norms))
-        picked.append(j)
-        col = resid[:, j]
-        nrm = np.linalg.norm(col)
-        if nrm > 0.0:
-            q = col / nrm
-            resid -= np.multiply(q[:, None], q @ resid, out=deflation)
-    basis, _ = thin_qr(F[:, picked])
+    basis, _ = thin_qr(F[:, _greedy_picks(F, r)])
     return FactoredApproximation(
         basis=basis,
         coeffs=basis.T @ F,

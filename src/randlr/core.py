@@ -9,7 +9,8 @@ the conventions the rest of the package and its tests rely on:
   diagonal of R is non-negative (Q is then unique for full-rank input).
 * :func:`svd_factors` / :func:`singular_values` (``numpy.linalg.svd``) --
   values sorted non-increasing; U is orthonormal even for rank-deficient
-  input.
+  input.  :func:`right_svd_factors` gives the same values and Vt without
+  U, through M's R factor on tall input.
 * :func:`pseudoinverse` -- singular values at or below ``RANK_TOL *
   sigma_max`` count as zero; ``_kept`` is that rank cutoff.
 
@@ -48,6 +49,7 @@ __all__ = [
     "keyed_gaussian_matrices",
     "thin_qr",
     "svd_factors",
+    "right_svd_factors",
     "singular_values",
     "pseudoinverse",
     "RANK_TOL",
@@ -312,6 +314,16 @@ def svd_factors(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     singular values.
     """
     return np.linalg.svd(M, full_matrices=False)
+
+
+def right_svd_factors(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(values, Vt)`` of :func:`svd_factors` without U.  From ``a >= 11 b / 6``
+    on (``dgesdd``'s crossover ``MNTHR``), LAPACK factors M through its R
+    factor, so the SVD of ``qr(M, mode="r")`` gives the same bits."""
+    a, b = M.shape
+    if a >= b * 11 // 6:
+        M = np.linalg.qr(M, mode="r")
+    return np.linalg.svd(M, full_matrices=False)[1:]
 
 
 def _sum_of_squares(values: np.ndarray) -> float:

@@ -26,8 +26,8 @@ from .core import (
     derive_seed,
     gaussian_matrix,
     keyed_gaussian_matrices,
+    right_svd_factors,
     singular_values,
-    svd_factors,
 )
 from .planner import (
     MODE_SQUARED,
@@ -263,7 +263,7 @@ def _run_trials(F, r, s, trials, master_seed, workers=1) -> np.ndarray:
         err = approximation_error(F, factorize(F, r, s, derive_seed(master_seed, 0)))
         return np.full(trials, err)
 
-    _, sv, Vt = svd_factors(F)
+    sv, Vt = right_svd_factors(F)
     scaled = sv[:, None] * Vt
     l = r + s
     tail2 = sv[l:] ** 2

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from randlr.baselines import column_select, truncated_svd
-from randlr.core import frobenius_norm, singular_values, thin_qr
+from randlr.baselines import _greedy_picks, column_select, truncated_svd
+from randlr.core import RANK_TOL, frobenius_norm, singular_values, thin_qr
 from randlr.planner import tail_energy
 from randlr.rangefinder import METHOD_COLUMN_SELECT, METHOD_TRUNCATED_SVD, approximation_error
 
@@ -122,23 +122,76 @@ def test_column_select_overflowing_column_norm_is_value_error():
 
 
 def column_select_with_outer(F, r):
-    """column_select's picks and basis as computed before its deflation buffer."""
+    """The greedy picks by deflating the whole residual at each pick, as
+    column_select made them before it down-dated norms, and the largest
+    remaining residual norm before each pick."""
     resid = np.array(F, dtype=np.float64)
-    picked = []
+    picked, largest = [], []
     for _ in range(r):
         norms = np.einsum("ij,ij->j", resid, resid)
         norms[picked] = -1.0
         j = int(np.argmax(norms))
         picked.append(j)
+        largest.append(np.sqrt(norms[j]))
         nrm = np.linalg.norm(resid[:, j])
         if nrm > 0.0:
             q = resid[:, j] / nrm
             resid -= np.outer(q, q @ resid)
-    return thin_qr(F[:, picked])[0]
+    return picked, largest
+
+
+def assert_same_picks(F, r):
+    """column_select's picks equal full deflation's while the largest remaining
+    residual norm is above RANK_TOL times the largest column norm; past that,
+    every candidate is rounding dust.  Picks compare as columns: duplicated
+    columns tie exactly, full deflation's rounding breaks such a tie either
+    way, and the basis depends only on the picked columns."""
+    ref, largest = column_select_with_outer(F, r)
+    cut = RANK_TOL * np.sqrt(np.einsum("ij,ij->j", F, F).max())
+    m = next((k for k, norm in enumerate(largest) if norm <= cut), r)
+    assert np.array_equal(F[:, _greedy_picks(F, r)[:m]], F[:, ref[:m]])
+    return m
 
 
 @pytest.mark.parametrize("a,b,r", [(3000, 40, 8), (60, 40, 3), (30, 50, 12)])
-def test_column_select_deflation_buffer_changes_no_bit(a, b, r):
+def test_column_select_picks_match_full_deflation(a, b, r):
     rng = np.random.default_rng(a + b + r)
     F = rng.standard_normal((a, r)) @ rng.standard_normal((r, b)) + 0.1 * rng.standard_normal((a, b))
-    assert np.array_equal(column_select(F, r).basis, column_select_with_outer(F, r))
+    assert assert_same_picks(F, r) == r
+    assert np.array_equal(column_select(F, r).basis, thin_qr(F[:, column_select_with_outer(F, r)[0]])[0])
+
+
+def pick_corpus(kind, seed):
+    """A 5-80 by 5-80 input of one kind and a rank to pick."""
+    rng = np.random.default_rng([seed, len(kind)])
+    a, b = (int(n) for n in rng.integers(5, 81, size=2))
+    rank = int(rng.integers(1, min(a, b) + 1)) if kind == "rank-deficient" else min(a, b)
+    F = rng.standard_normal((a, rank)) @ rng.standard_normal((rank, b))
+    if kind == "near-ties":  # unit columns, norms apart by about 1e-9
+        F *= (1.0 + 1e-9 * rng.standard_normal(b)) / np.linalg.norm(F, axis=0)
+    elif kind == "duplicates":  # half the columns copied, every other copy off by 1e-7
+        copies = rng.integers(0, b - b // 2, size=b // 2)
+        F[:, b - b // 2 :] = F[:, copies] * (1.0 + 1e-7 * rng.standard_normal(b // 2) * (np.arange(b // 2) % 2))
+    if kind == "graded" or seed % 2:  # column scales exp(N(0, 9))
+        F *= np.exp(rng.normal(0.0, 3.0, size=b))
+    return F, int(rng.integers(1, min(a, b) + 1))
+
+
+@pytest.mark.parametrize("kind", ["near-ties", "graded", "duplicates", "rank-deficient"])
+def test_column_select_picks_match_full_deflation_on_corpus(kind):
+    compared = sum(assert_same_picks(*pick_corpus(kind, seed)) for seed in range(100))
+    assert compared > 1000
+
+
+def test_column_select_recomputes_cancelled_norms():
+    # After the first pick, the 1e8 column's squared norm 1e16 + 0.25 has
+    # rounded to 1e16, so its down-dated value reads about 0 against the
+    # third column's 0.01.  Its residual norm is 0.5: recomputed, it is the
+    # second pick.
+    F = np.zeros((6, 3))
+    F[0, 0] = 2e8
+    F[0, 1], F[1, 1] = 1e8, 0.5
+    F[2, 2] = 0.1
+    rotation = np.linalg.qr(np.random.default_rng(0).standard_normal((50, 50)))[0]
+    for G in (F, rotation[:, :6] @ F):
+        assert list(_greedy_picks(G, 3)) == column_select_with_outer(G, 3)[0] == [0, 1, 2]

@@ -16,6 +16,7 @@ from randlr.core import (
     gaussian_matrix,
     keyed_gaussian_matrices,
     pseudoinverse,
+    right_svd_factors,
     singular_values,
     svd_factors,
     thin_qr,
@@ -395,6 +396,37 @@ def test_svd_does_not_mutate_input():
     singular_values(M)
     svd_factors(M.T)
     assert np.array_equal(M, before)
+
+
+def svd_inputs(a, b):
+    """A Gaussian, a rank-3 and a graded-column a x b input."""
+    rng = np.random.default_rng([a, b])
+    k = min(3, b)
+    yield rng.standard_normal((a, b))
+    yield rng.standard_normal((a, k)) @ rng.standard_normal((k, b))
+    yield rng.standard_normal((a, b)) * np.exp(rng.normal(0.0, 3.0, size=b))
+
+
+@pytest.mark.parametrize("shape", [(73, 40), (3000, 40), (2000, 150), (1000, 300), (40, 1)], ids="{0[0]}x{0[1]}".format)
+def test_right_svd_factors_equal_svd_factors_bitwise(shape):
+    for M in svd_inputs(*shape):
+        before = M.copy()
+        values, Vt = right_svd_factors(M)
+        _, ref_values, ref_Vt = svd_factors(M)
+        assert np.array_equal(values, ref_values) and np.array_equal(Vt, ref_Vt)
+        assert np.array_equal(M, before)
+
+
+def test_right_svd_factors_take_the_r_factor_from_lapack_crossover(monkeypatch):
+    # dgesdd's crossover for 40 columns is int(11 * 40 / 6) = 73 rows; at 72
+    # the SVD runs on M itself, whose bits differ from the R factor's
+    calls = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda M, mode: calls.append(M.shape) or qr(M, mode))
+    for M in svd_inputs(73, 40):
+        right_svd_factors(M[:72])
+        right_svd_factors(M)
+    assert calls == [(73, 40)] * 3
 
 
 # --- SingularSpectrum validation ---------------------------------------------

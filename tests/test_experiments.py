@@ -411,7 +411,7 @@ def test_monte_carlo_validates_before_decomposing(monkeypatch):
         raise AssertionError("F decomposed before validation")
 
     monkeypatch.setattr(randlr.experiments, "singular_values", no_svd)
-    monkeypatch.setattr(randlr.experiments, "svd_factors", no_svd)
+    monkeypatch.setattr(randlr.experiments, "right_svd_factors", no_svd)
     F = np.eye(6)
     for r, s, trials, mode in [(1, 1, 5, "literal"), (0, 2, 5, "literal"), (7, 2, 5, "literal"),
                                (1, 2, 0, "literal"), (1, 2, 5, "bogus")]:
@@ -426,7 +426,7 @@ def forbid_decomposition(monkeypatch):
         raise AssertionError("decomposed before validation")
 
     monkeypatch.setattr(randlr.experiments, "singular_values", no_svd)
-    monkeypatch.setattr(randlr.experiments, "svd_factors", no_svd)
+    monkeypatch.setattr(randlr.experiments, "right_svd_factors", no_svd)
     for name in ("svd", "qr", "inv"):  # the moment's batched decompositions
         monkeypatch.setattr(np.linalg, name, no_svd)
 
@@ -463,9 +463,31 @@ def test_worker_count_validated_before_decomposing(monkeypatch, workers):
         raise AssertionError("F decomposed before validation")
 
     monkeypatch.setattr(randlr.experiments, "singular_values", no_svd)
-    monkeypatch.setattr(randlr.experiments, "svd_factors", no_svd)
+    monkeypatch.setattr(randlr.experiments, "right_svd_factors", no_svd)
     with pytest.raises(ValueError, match="worker"):
         monte_carlo(np.eye(6), 1, 2, 5, master_seed=1, workers=workers)
+
+
+def test_forbid_decomposition_stops_the_r_factor_route(monkeypatch):
+    forbid_decomposition(monkeypatch)
+    with pytest.raises(AssertionError, match="decomposed before validation"):
+        randlr.core.right_svd_factors(np.ones((3000, 40)))
+
+
+def test_tall_reports_equal_the_direct_svd_route(monkeypatch):
+    # 3000 x 40 is past dgesdd's crossover, so the trials take sv and Vt
+    # through F's R factor; forcing the SVD of F itself changes no bit
+    F = signal_noise((3000, 40), 12)
+
+    def reports():
+        bench = monte_carlo(F, 5, 4, 30, master_seed=3)
+        beat = beat_baseline_experiment(F, 5, METHOD_COLUMN_SELECT, 30, master_seed=3)
+        assert len(beat.per_trial_errors) == 30
+        return bench.to_dict(), beat.to_dict()
+
+    through_r = reports()
+    monkeypatch.setattr(randlr.experiments, "right_svd_factors", lambda M: svd_factors(M)[1:])
+    assert reports() == through_r
 
 
 def test_bench_plan_and_beat_report_the_same_tau():
