@@ -19,11 +19,10 @@ Sampling is numpy's: seed ``x`` draws numpy's ziggurat
 seed) triple is reproducible, whether drawn alone (:func:`gaussian_matrix`)
 or in a stack (:func:`keyed_gaussian_matrices`), and independent substreams
 are derived with :func:`derive_seed`.  A stack is drawn from Philox keys,
-``SeedSequence(seed).generate_state(2, np.uint64)``.  randlr computes
-numpy's SeedSequence hash itself, with one set of constants and one mix
-rule: on Python ints for one seed, and on uint32 arrays for a batch, so
-:func:`derive_keys` derives every trial's key in one pass, bit for bit the
-key numpy would build.
+``SeedSequence(seed).generate_state(2, np.uint64)``.  A single seed is
+numpy's own ``SeedSequence``.  Only the batch is randlr's:
+:func:`derive_keys` runs numpy's hash on uint32 arrays, so it derives every
+trial's key in one pass, bit for bit the key numpy would build.
 
 All functions are pure and never mutate their arguments.  LAPACK failures
 surface as ``numpy.linalg.LinAlgError``, a ``ValueError``.
@@ -31,9 +30,7 @@ surface as ``numpy.linalg.LinAlgError``, a ``ValueError``.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain, islice
 
 import numpy as np
 
@@ -100,7 +97,6 @@ def check_rank(r: int, shape, name: str = "rank") -> None:
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of four
 # uint32 words, mixed with these multipliers and a 16-bit xorshift.
-_MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -110,100 +106,50 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _OTHERS = tuple([dst for dst in range(_POOL_SIZE) if dst != src] for src in range(_POOL_SIZE))
 
 
-def _seed_words(n, name: str = "seed") -> list[int]:
-    """numpy's split of a non-negative integer into little-endian uint32 words."""
-    check_seed(n, name)
-    n = int(n)
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
+def _pairs(init: int, mult: int, start: int, count: int) -> np.ndarray:
+    """numpy's constants of hashmixes ``start`` to ``start + count - 1`` as a
+    (2, count, 1) uint32 array, a column of xor and a column of multiply
+    constants to broadcast along a batch.  Hashmix i XORs in ``init *
+    mult**i`` and multiplies by ``init * mult**(i + 1)``, modulo 2**32."""
+    h = [init * pow(mult, i, 1 << 32) % (1 << 32) for i in range(start, start + count + 1)]
+    return np.array([h[:-1], h[1:]], dtype=np.uint32)[:, :, None]
 
 
-def _hash_constants(h: int, mult: int) -> Iterator[tuple[int, int]]:
-    """numpy's running hash constant from ``h``: the (xor, multiply) pair of
-    each successive hashmix, which XORs ``h`` in, advances it by ``mult``
-    and multiplies by the new value."""
-    while True:
-        yield h, (h := h * mult & _MASK32)
-
-
-# The constant table: the pool's pairs for up to eight entropy words (a
-# master seed below 2**192 with a two-word spawn index, or any seed of a
-# Philox key), and the first four output pairs.
-_POOL_PAIRS = list(islice(_hash_constants(_INIT_A, _MULT_A), 8 * _POOL_SIZE))
-_OUT_PAIRS = list(islice(_hash_constants(_INIT_B, _MULT_B), _POOL_SIZE))
-
-
-def _hashmix(value, xor, mult):
-    """numpy's hashmix of ``value`` with one (xor, multiply) constant pair.
-
-    This and :func:`_mix` are the hash's one rule, for Python ints and
-    uint32 arrays alike: Python ints need the mask, uint32 arrays wrap by
-    themselves, and array constants broadcast along an array ``value``.
-    """
+def _hashmix(value: np.ndarray, xor, mult) -> np.ndarray:
+    """numpy's hashmix of uint32 words ``value`` with one (xor, multiply)
+    constant pair; array constants broadcast along ``value``, and uint32
+    arithmetic wraps modulo 2**32 as the hash does."""
     v = value ^ xor
     v *= mult
-    if isinstance(v, int):
-        v &= _MASK32
     return v ^ v >> 16
 
 
-def _mix(x, y):
-    """numpy's mix of a hashed word ``y`` into pool word ``x`` (both Python
-    ints, or both uint32 arrays)."""
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """numpy's mix of hashed uint32 words ``y`` into pool words ``x``."""
     m = x * _MIX_MULT_L - y * _MIX_MULT_R
-    if isinstance(m, int):
-        m &= _MASK32
     return m ^ m >> 16
 
 
-def _hash_pool(entropy: list) -> tuple[list[int], Iterator[tuple[int, int]]]:
-    """numpy's pool after mixing in ``entropy`` (uint32 words as Python
-    ints), and the running constants that the next entropy word would use."""
-    consts = chain(_POOL_PAIRS, _hash_constants(_POOL_PAIRS[-1][1], _MULT_A))
-    # the first words fill the pool, zeros past the end
-    pool = [_hashmix(entropy[i] if i < len(entropy) else 0, *next(consts)) for i in range(_POOL_SIZE)]
-    for src, dsts in enumerate(_OTHERS):  # every pool word into every other
-        for dst in dsts:
-            pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(consts)))
-    for word in entropy[_POOL_SIZE:]:  # then each remaining word into all
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hashmix(word, *next(consts)))
-    return pool, consts
-
-
-def _columns(pairs: list) -> np.ndarray:
-    """Constant pairs as a (2, len(pairs), 1) uint32 array: a column of xor
-    and a column of multiply constants, to broadcast along a batch."""
-    return np.array(pairs, dtype=np.uint32).T[:, :, None]
-
-
-# derive_keys' columns of the table.  A Philox key hashes a seed of at most
-# two words, so its pool takes the pairs of a four-word fill and of the
-# twelve pool-mixing steps, three per source word.
-_KEY_FILL = _columns(_POOL_PAIRS[:_POOL_SIZE])
-_KEY_MIX = [_columns(_POOL_PAIRS[_POOL_SIZE + 3 * src : _POOL_SIZE + 3 * src + 3]) for src in range(_POOL_SIZE)]
-_KEY_OUT = _columns(_OUT_PAIRS)
-
-
-def _spawn_entropy(master_seed: int, index_words: list) -> list:
-    """Entropy words of ``SeedSequence(master_seed, spawn_key=(index,))``:
-    with a spawn key, numpy pads the master's words to the pool size."""
-    words = _seed_words(master_seed)
-    return words + [0] * (_POOL_SIZE - len(words)) + index_words
+# derive_keys' constants.  A Philox key hashes a seed of at most two words,
+# so its pool takes the hashmixes of a four-word fill and of the twelve
+# pool-mixing steps, three per source word; its output takes four.
+_KEY_FILL = _pairs(_INIT_A, _MULT_A, 0, _POOL_SIZE)
+_KEY_MIX = [_pairs(_INIT_A, _MULT_A, _POOL_SIZE + 3 * src, 3) for src in range(_POOL_SIZE)]
+_KEY_OUT = _pairs(_INIT_B, _MULT_B, 0, _POOL_SIZE)
 
 
 def derive_seed(master_seed: int, index: int) -> int:
     """Derive an independent 64-bit substream seed from (master_seed, index).
 
     The mixing function is fixed: ``numpy.random.SeedSequence(master_seed,
-    spawn_key=(index,))`` folded to its first 64-bit word.  Serial and
-    parallel schedules that agree on indices therefore agree on streams.
+    spawn_key=(index,))`` folded to its first 64-bit word, computed by numpy
+    itself.  Serial and parallel schedules that agree on indices therefore
+    agree on streams.
     """
-    pool, _ = _hash_pool(_spawn_entropy(master_seed, _seed_words(index, "index")))
-    return _hashmix(pool[0], *_OUT_PAIRS[0]) | _hashmix(pool[1], *_OUT_PAIRS[1]) << 32
+    check_seed(index, "index")
+    check_seed(master_seed)
+    seq = np.random.SeedSequence(int(master_seed), spawn_key=(int(index),))
+    return int(seq.generate_state(1, np.uint64)[0])
 
 
 #: Identifier for the substream derivation above and the sampler that draws
@@ -218,21 +164,24 @@ def derive_keys(master_seed: int, count: int) -> np.ndarray:
     """Philox keys of the streams ``derive_seed(master_seed, i)``, i < count.
 
     Row i is ``SeedSequence(derive_seed(master_seed, i)).generate_state(2,
-    np.uint64)``, computed for all indices in one pass over uint32 arrays.
-    The master seed's words are hashed once on Python ints, as in
-    :func:`derive_seed`; only the index word and what it touches run on the
-    arrays, whose wrap-around arithmetic is the hash's modulo 2**32.  A
-    pool word's updates of the other three are independent of each other,
-    so they run as one (3, count) operation.
+    np.uint64)``, bit for bit, computed for all indices in one pass over
+    uint32 arrays, whose wrap-around arithmetic is the hash's modulo 2**32.
+    numpy hashes the master seed; only the index word and what it touches
+    run on the arrays.  A pool word's updates of the other three are
+    independent of each other, so they run as one (3, count) operation.
     """
     if count > MAX_TRIALS:
         raise ValueError(f"trials must be at most 2**32, got {count}")
-    pool, consts = _hash_pool(_spawn_entropy(master_seed, []))
-    # The index word enters every pool word, but derive_seed's two output
-    # words read only pool words 0 and 1.
+    check_seed(master_seed)
+    master_seed = int(master_seed)
+    # With a spawn key, numpy pads the master's words to the pool size, so
+    # the index word meets the master's own pool, after one hashmix per pool
+    # word for each padded master word.  derive_seed's two output words
+    # read only pool words 0 and 1.
+    pool01 = np.random.SeedSequence(master_seed).pool[:2, None]
+    hashed = _POOL_SIZE * max(_POOL_SIZE, (master_seed.bit_length() + 31) // 32)
     index = np.arange(count, dtype=np.uint32)
-    pool01 = np.array(pool[:2], dtype=np.uint32)[:, None]
-    mixed = _mix(pool01, _hashmix(index, *_columns([next(consts), next(consts)])))
+    mixed = _mix(pool01, _hashmix(index, *_pairs(_INIT_A, _MULT_A, hashed, 2)))
     # derive_seed's low and high words, then two zero words, fill the key's pool
     seed_words = np.zeros((_POOL_SIZE, count), dtype=np.uint32)
     seed_words[:2] = _hashmix(mixed, *_KEY_OUT[:, :2])

@@ -1,6 +1,7 @@
 """Kernel tests: norms, sampling, QR, SVD, pseudoinverse."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,7 +187,7 @@ def numpy_philox_key(seed):
 
 def test_derive_seed_matches_numpy():
     rng = np.random.default_rng(20)
-    masters = EDGE_SEEDS + [int(m) for m in rng.integers(0, 2**63, 30)]
+    masters = EDGE_SEEDS + [np.uint64(2**64 - 1)] + [int(m) for m in rng.integers(0, 2**63, 30)]
     # indices at and above 2**32 take a second spawn word, as in numpy
     indices = [0, 1, 2**32 - 1, 2**32, 2**40 + 3] + [int(i) for i in rng.integers(0, 2**32, 300)]
     pairs = [(m, i) for m in masters for i in indices]
@@ -204,10 +205,14 @@ def test_derive_keys_match_numpy(master_seed):
 
 
 @pytest.mark.parametrize("count", [0, 1, 2, 2**16 + 1])
-@pytest.mark.parametrize("master_seed", [0, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 3, 2**130 + 12345, 2**300 + 7])
+@pytest.mark.parametrize("master_seed", [
+    0, 2**32 - 1, 2**32, 2**64 + 5, np.uint64(2**64 - 1),
+    2**128 - 1, 2**128 + 3, 2**130 + 12345, 2**160 + 1, 2**300 + 7,
+])
 def test_derive_keys_first_and_last_match_numpy(master_seed, count):
     # a master seed of five words or more mixes its extra words before the
-    # index word; one of ten words runs past the table of constant pairs
+    # index word, which moves the index word's hash constants: 2**128 - 1 is
+    # the last master of four words, 2**160 + 1 has six and 2**300 + 7 ten
     keys = derive_keys(master_seed, count)
     assert keys.shape == (count, 2) and keys.dtype == np.uint64
     for i in sorted({0, count - 1}) if count else []:
@@ -221,6 +226,18 @@ def test_keyed_stack_matches_numpy_streams(rows, cols, count):
     assert stack.shape == (count, rows, cols)
     for i, G in enumerate(stack):
         assert np.array_equal(G, frozen_gaussian_matrix(rows, cols, derive_seed(77, i)))
+
+
+def test_derive_keys_peak_memory_per_key():
+    # the uint32 temporaries of the one-pass hash, against 16 bytes per key returned
+    count = 10**5
+    tracemalloc.start()
+    try:
+        derive_keys(123456789, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / count <= 96
 
 
 def test_derive_keys_rejects_indices_past_one_spawn_word():
