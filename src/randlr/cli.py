@@ -65,6 +65,8 @@ def _load_spectrum_or_matrix(path: str) -> SingularSpectrum:
                 rows, cols = data["source_dims"]
                 if type(rows) is not int or type(cols) is not int:  # int() truncates 2.7 and reads true as 1
                     raise TypeError(f"source_dims must be two integers, got {data['source_dims']}")
+                if any(type(v) not in (int, float) for v in data["values"]):  # asarray reads "2" and true as numbers
+                    raise TypeError(f"values must be numbers, got {data['values']}")
                 return SingularSpectrum(
                     values=np.asarray(data["values"], dtype=np.float64),
                     source_dims=(rows, cols),
@@ -141,20 +143,10 @@ def _cmd_gen(args) -> int:
             values = tuple(float(tok) for tok in args.values.split(","))
         except ValueError as exc:
             raise ValueError(f"--values: {exc}") from exc
-        spec = GeneratorSpec(
-            dims=(args.dims[0], args.dims[1]),
-            kind=KIND_PRESCRIBED,
-            spectrum=values,
-            seed=args.seed,
-        )
+        fields = {"kind": KIND_PRESCRIBED, "spectrum": values}
     else:
-        spec = GeneratorSpec(
-            dims=(args.dims[0], args.dims[1]),
-            kind=KIND_SIGNAL_NOISE,
-            signal_rank=args.signal_rank,
-            noise_level=args.noise_level,
-            seed=args.seed,
-        )
+        fields = {"kind": KIND_SIGNAL_NOISE, "signal_rank": args.signal_rank, "noise_level": args.noise_level}
+    spec = GeneratorSpec(dims=args.dims, seed=args.seed, **fields)
     write_matrix(args.out, generate(spec))
     _emit({"schema_version": 1, "written": [args.out], "generator": spec.to_dict()})
     return EXIT_OK

@@ -76,10 +76,6 @@ CHUNK_ENTRIES = 1 << 15
 # Entries of one moment draw (1 GiB of float64), checked before anything is drawn.
 MAX_DRAW_ENTRIES = 1 << 27
 
-# concurrent.futures.ThreadPoolExecutor, imported when the first pool starts:
-# a serial run never loads concurrent.futures (nor the logging it imports).
-ThreadPoolExecutor = None
-
 
 def _fields_dict(obj, **extra) -> dict:
     """A dataclass's fields by name, plus ``extra``; the values are not copied."""
@@ -221,11 +217,9 @@ def _map_draws(rows: int, cols: int, trials: int, master_seed: int, fn, workers:
     if threads == 1:
         values = [run(chunk) for chunk in chunks]
     else:
-        global ThreadPoolExecutor
-        if ThreadPoolExecutor is None:
-            from concurrent import futures
+        # imported here: a serial run never loads concurrent.futures (nor the logging it imports)
+        from concurrent.futures import ThreadPoolExecutor
 
-            ThreadPoolExecutor = futures.ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             values = list(pool.map(run, chunks))
     return np.concatenate(values)
@@ -260,7 +254,7 @@ def _run_trials(F, r, s, trials, master_seed, workers=1) -> np.ndarray:
     """
     if r + s >= min(F.shape):
         # The exact fallback ignores its seed; one evaluation serves all trials.
-        err = approximation_error(F, factorize(F, r, s, derive_seed(master_seed, 0)))
+        err = approximation_error(F, factorize(F, r, s, master_seed))
         return np.full(trials, err)
 
     sv, Vt = right_svd_factors(F)
@@ -419,8 +413,8 @@ def _upper_inverse(R: np.ndarray) -> np.ndarray:
     and each block above it one batched product of blocks already
     inverted.  The blocked inversion of Du Croz & Higham (IMA J. Numer.
     Anal. 12, 1992), batched; a matrix's inverse depends on that matrix
-    alone.  The diagonals must be nonzero; a tiny one overflows to inf or
-    NaN rather than raising.
+    alone.  A zero or tiny diagonal entry gives inf or NaN entries rather
+    than raising (under the caller's ``errstate``).
     """
     n, r, _ = R.shape
     X = np.zeros((n, r, r))
@@ -444,22 +438,21 @@ def _stack_pinv_energies(draws: np.ndarray) -> np.ndarray:
 
     For full-rank G, ``pinv(G) = Q R^{-T}``, so ``||pinv(G)||_F^2 =
     ||R^{-1}||_F^2``: one batched QR and one batched inversion of the r x r
-    triangles (:func:`_upper_inverse`).  A draw takes that value only when
-    every diagonal entry of R is nonzero and ``||R||_F^2 ||R^{-1}||_F^2 <
-    RANK_TOL**-2``.  Because ``||R||_F >= sigma_max`` and ``||R^{-1}||_F >=
-    1/sigma_min``, that proves ``sigma_min > RANK_TOL * sigma_max``, so the
-    SVD rule would keep every singular value and both compute the same sum.
-    Every other draw goes through the SVD rule itself.  The route and the
-    value of a draw depend on that draw's numbers alone, never on the rest
-    of the stack.
+    triangles (:func:`_upper_inverse`).  The certificate ``||R||_F^2
+    ||R^{-1}||_F^2 < RANK_TOL**-2`` alone decides a draw's route.  Because
+    ``||R||_F >= sigma_max`` and ``||R^{-1}||_F >= 1/sigma_min``, it proves
+    ``sigma_min > RANK_TOL * sigma_max``, so the SVD rule would keep every
+    singular value and both compute the same sum.  A zero or tiny diagonal
+    entry of R makes the inverse inf or NaN, which fails the certificate.
+    Every draw that fails it goes through the SVD rule itself.  The route
+    and the value of a draw depend on that draw's numbers alone, never on
+    the rest of the stack.
     """
     R = np.linalg.qr(draws.transpose(0, 2, 1), mode="r")  # the sampler's contiguous G^T stack
-    full = (np.diagonal(R, axis1=1, axis2=2) != 0.0).all(axis=1)
-    R[~full] = np.eye(R.shape[1])  # no zero to divide by; these draws take the SVD rule
-    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN fails the certificate
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # an inf or NaN fails the certificate
         Rinv = _upper_inverse(R)
         energies = np.einsum("nij,nij->n", Rinv, Rinv)
-        certified = full & (np.einsum("nij,nij->n", R, R) * energies < RANK_TOL**-2)
+        certified = np.einsum("nij,nij->n", R, R) * energies < RANK_TOL**-2
     if not certified.all():
         energies[~certified] = _svd_pinv_energies(draws[~certified])
     return energies

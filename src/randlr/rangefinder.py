@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import check_rank, check_seed, frobenius_norm, gaussian_matrix, svd_factors, thin_qr
-from .io import read_matrix_market, write_matrix_market
+from .io import _writing, read_matrix_market, write_matrix_market
 
 __all__ = [
     "FactoredApproximation",
@@ -155,7 +155,7 @@ def save_factored(prefix, approx: FactoredApproximation) -> list[str]:
         "seed": approx.seed,
         "method": approx.method,
     }
-    with open(paths[2], "w") as fh:
+    with _writing(paths[2], "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return paths

@@ -81,3 +81,28 @@ def test_private_name_check_sees_an_orphan():
     helpers = ast.parse("_TOL = 1.0\ndef _used(): return _TOL\ndef _orphan(): pass\nclass _Gone: pass\n")
     caller = ast.parse("from m import _used\n_used()\n")
     assert unreferenced_privates([helpers, caller]) == ["_orphan", "_Gone"]
+
+
+def writing_opens(tree: ast.Module) -> list[str]:
+    """Literal modes of the ``open(...)`` calls in ``tree`` that write:
+    a mode that contains ``w``, ``a``, ``x`` or ``+``."""
+    modes = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open":
+            args = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            modes += [a.value for a in args if isinstance(a, ast.Constant) and isinstance(a.value, str)]
+    return [mode for mode in modes if set(mode) & set("wax+")]
+
+
+NOT_IO = [p for p in SOURCES if p.name != "io.py"]
+
+
+@pytest.mark.parametrize("path", NOT_IO, ids=[p.name for p in NOT_IO])
+def test_only_io_opens_files_for_writing(path):
+    # every output file goes through io._writing, whose errors name the file
+    assert writing_opens(ast.parse(path.read_text())) == []
+
+
+def test_writing_open_check_sees_a_writer():
+    tree = ast.parse("open(p)\nopen(p, 'rb')\nopen(p, 'w')\nopen(p, mode='ab')\nopen(p, 'r+')\n")
+    assert writing_opens(tree) == ["w", "ab", "r+"]

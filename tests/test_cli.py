@@ -78,8 +78,11 @@ def test_plan_from_spectrum_json(capsys, tmp_path, diag_csv):
         '{"values": [1%s], "source_dims": [3, 3]}' % ("0" * 400),  # past float64: OverflowError
         '{"values": [2.0, 1.0], "source_dims": [2.7, 3]}',  # int() would truncate it to 2
         '{"values": [2.0], "source_dims": [true, 3]}',  # int() would read it as 1
+        '{"values": ["2", "1"], "source_dims": [3, 3]}',  # asarray would read them as 2.0 and 1.0
+        '{"values": [true, false], "source_dims": [3, 3]}',  # asarray would read them as 1.0 and 0.0
     ],
-    ids=["no-source-dims", "json-list", "scalar-dims", "one-dim", "huge-int", "float-dim", "bool-dim"],
+    ids=["no-source-dims", "json-list", "scalar-dims", "one-dim", "huge-int", "float-dim", "bool-dim",
+         "string-values", "bool-values"],
 )
 def test_plan_from_malformed_spectrum_is_one_error_line(capsys, tmp_path, content):
     spec_path = tmp_path / "spec.json"
@@ -398,14 +401,20 @@ def test_gen_write_error_is_one_error_line_naming_the_file(capsys, tmp_path, cas
     assert not os.path.exists(f"{path}.mtx")  # written under no other name
 
 
-def test_approx_write_error_is_one_error_line_naming_the_file(capsys, tmp_path, bench_matrix):
-    prefix = unwritable(tmp_path, "missing-dir", suffix="")
+@pytest.mark.parametrize(
+    "case, suffix", [("missing-dir", "_H.mtx"), ("full", ".json")], ids=["missing-dir", "full-sidecar"]
+)
+def test_approx_write_error_is_one_error_line_naming_the_file(capsys, tmp_path, bench_matrix, case, suffix):
+    path = unwritable(tmp_path, case, suffix)
+    prefix = str(path)[: -len(suffix)]
     code, out, err = run_cli(
         capsys,
         ["approx", bench_matrix, "--rank", "3", "--oversample", "2", "--seed", "7",
-         "--out-prefix", str(prefix)],
+         "--out-prefix", prefix],
     )
-    assert_write_error(code, out, err, f"{prefix}_H.mtx")
+    assert_write_error(code, out, err, path)
+    if case == "full":
+        assert err == f"error: {path}: [Errno 28] No space left on device\n"
 
 
 def test_moment_command(capsys):

@@ -1,5 +1,6 @@
 """Tests for generators, the Monte Carlo harness, and the end-to-end runs."""
 
+import concurrent.futures
 import itertools
 import math
 import os
@@ -345,7 +346,7 @@ def test_pool_threads_bounded_by_chunks(monkeypatch):
             requested.append(max_workers)
             super().__init__(max_workers=min(max_workers, 4))  # never start a huge pool
 
-    monkeypatch.setattr(randlr.experiments, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
     F, r, s = TRIAL_CASES["tall"]()
     serial = randlr.experiments._run_trials(F, r, s, 12, 31)
     assert np.array_equal(randlr.experiments._run_trials(F, r, s, 12, 31, 10**6), serial)
@@ -371,7 +372,7 @@ def test_pool_threads_bounded_by_allowed_cpus(monkeypatch):
         def map(self, fn, chunks):
             return map(fn, chunks)
 
-    monkeypatch.setattr(randlr.experiments, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
     monkeypatch.setattr(randlr.experiments, "CHUNK_ENTRIES", 1)  # one trial per chunk
     F, r, s = TRIAL_CASES["tall"]()
@@ -577,20 +578,22 @@ def test_moment_r_factor_matches_the_svd_rule():
             assert np.all(np.abs(fast - exact) <= 1e-12 * exact), (r, s)
 
 
-def uncertified_draws(r, s):
-    """An exactly singular draw (a zero row) and one with condition number 1e13."""
+def uncertified_draws(r, s, zero_row=1):
+    """An exactly singular draw (row ``zero_row`` zero) and one with condition number 1e13."""
     singular = gaussian_matrix(r, r + s, 1)
-    singular[1] = 0.0
+    singular[zero_row] = 0.0
     left = build_basis(gaussian_matrix(r, r, 2))
     right = build_basis(gaussian_matrix(r + s, r, 3))
     ill = (left * np.geomspace(1.0, 1e-13, r)) @ right.T
     return np.stack([singular, ill])
 
 
-def test_moment_uncertified_draws_take_the_svd_rule():
+@pytest.mark.parametrize("zero_row", [0, 1, 3], ids=["first", "middle", "last"])
+def test_moment_uncertified_draws_take_the_svd_rule(zero_row):
+    # a zero row puts a zero on R's diagonal, whose inverse is inf or NaN
     r, s = 4, 3
     gaussians = keyed_gaussian_matrices(r, r + s, derive_keys(9, 6))
-    odd = uncertified_draws(r, s)
+    odd = uncertified_draws(r, s, zero_row)
     mixed = np.concatenate([gaussians[:2], odd[:1], gaussians[2:5], odd[1:], gaussians[5:]])
     energies = randlr.experiments._stack_pinv_energies(mixed)
     for i, draw in zip((2, 6), odd):
