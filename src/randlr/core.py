@@ -10,7 +10,10 @@ the conventions the rest of the package and its tests rely on:
 * :func:`svd_factors` / :func:`singular_values` (``numpy.linalg.svd``) --
   values sorted non-increasing; U is orthonormal even for rank-deficient
   input.  :func:`right_svd_factors` gives the same values and Vt without
-  U, through M's R factor on tall input.
+  U, through M's R factor on tall input (``_tall_r_factor``): from ``a >=
+  11 b / 6`` rows on, while the largest |entry| of M and of R is 0 or in
+  ``[2**-459, 2**459]``, the range where LAPACK's ``dgesdd`` rescales
+  neither.
 * :func:`pseudoinverse` -- singular values at or below ``RANK_TOL *
   sigma_max`` count as zero; ``_kept`` is that rank cutoff.
 
@@ -30,6 +33,7 @@ surface as ``numpy.linalg.LinAlgError``, a ``ValueError``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,8 +82,11 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
 
 
 def frobenius_norm(M: np.ndarray) -> float:
-    """Square root of the sum of squared entries."""
-    return float(np.linalg.norm(M))
+    """Square root of the sum of squared entries, summed by numpy itself: a
+    BLAS dot product (``np.linalg.norm``) splits the sum across threads, so
+    its last bit depends on the BLAS thread count."""
+    v = np.asarray(M, dtype=np.float64).ravel()
+    return math.sqrt(np.einsum("i,i->", v, v))
 
 
 def check_seed(seed, name: str = "seed") -> None:
@@ -265,14 +272,38 @@ def svd_factors(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.linalg.svd(M, full_matrices=False)
 
 
-def right_svd_factors(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(values, Vt)`` of :func:`svd_factors` without U.  From ``a >= 11 b / 6``
-    on (``dgesdd``'s crossover ``MNTHR``), LAPACK factors M through its R
-    factor, so the SVD of ``qr(M, mode="r")`` gives the same bits."""
+def _unscaled(M: np.ndarray) -> bool:
+    """Whether ``dgesdd`` factors M as it is: it rescales M first when its
+    largest |entry| is nonzero and outside ``[SMLNUM, BIGNUM] = [2**-459,
+    2**459]`` (``sqrt(safe minimum) / precision`` and its reciprocal)."""
+    largest = max(M.max(), -M.min())
+    return largest == 0.0 or 2.0**-459 <= largest <= 2.0**459
+
+
+def _tall_r_factor(M: np.ndarray) -> np.ndarray:
+    """M's b x b R factor ``qr(M, mode="r")`` where its SVD is M's bit for bit,
+    else M itself.
+
+    From ``a >= 11 b / 6`` rows on (``dgesdd``'s crossover ``MNTHR``), LAPACK
+    factors M through that R factor, so the SVD of R gives the same values
+    and Vt, whether or not singular vectors are asked for.  That holds while ``dgesdd`` rescales
+    neither M nor R (:func:`_unscaled`); past either threshold the bits
+    differ, and M is returned.  R has M's column norms and inner products,
+    so greedy column selection and its error can run on it as well.
+    """
     a, b = M.shape
-    if a >= b * 11 // 6:
-        M = np.linalg.qr(M, mode="r")
-    return np.linalg.svd(M, full_matrices=False)[1:]
+    if a >= b * 11 // 6 and _unscaled(M):
+        R = np.linalg.qr(M, mode="r")
+        if _unscaled(R):
+            return R
+    return M
+
+
+def right_svd_factors(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(values, Vt)`` of :func:`svd_factors` without U, bit for bit: the SVD
+    of :func:`_tall_r_factor`, M's R factor on tall input in ``dgesdd``'s
+    no-rescaling range, M itself elsewhere."""
+    return np.linalg.svd(_tall_r_factor(M), full_matrices=False)[1:]
 
 
 def _sum_of_squares(values: np.ndarray) -> float:

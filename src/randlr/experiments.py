@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .core import (
     SEED_MIX,
     SingularSpectrum,
     _kept,
+    _tall_r_factor,
     check_rank,
     check_seed,
     derive_keys,
@@ -228,6 +229,9 @@ def _map_draws(rows: int, cols: int, trials: int, master_seed: int, fn, workers:
 def _run_trials(F, r, s, trials, master_seed, workers=1) -> np.ndarray:
     """Errors of `trials` independent factorizations, indexed by trial.
 
+    ``F`` may be the input's R factor (:func:`randlr.core._tall_r_factor`):
+    the trials see only its singular values and right factor, the input's
+    bit for bit, and the exact fallback measures the same error to rounding.
     Trial i is the factorization seeded by ``derive_seed(master_seed, i)``,
     whatever the chunks and workers of :func:`_map_draws`.
 
@@ -318,7 +322,7 @@ def _trial_report(config, errors, mode, bound, epsilon, accept) -> TrialReport:
     se = _std_error(comp)
     return TrialReport(
         config=config,
-        per_trial_errors=tuple(float(e) for e in errors),
+        per_trial_errors=tuple(errors.tolist()),
         mean_error=float(errors.mean()),
         mean_squared_error=float((errors**2).mean()),
         std_error=se,
@@ -352,13 +356,18 @@ def monte_carlo(
     a violated one.  The report has no budget: its ``epsilon`` and
     ``fraction_below_epsilon`` are None.  ``workers`` threads share the
     trial chunks; the report does not depend on their number.
+
+    After validation, F is reduced once: on a tall input the spectrum and
+    the trials work on its b x b R factor, whose singular values and right
+    factor are F's bit for bit (:func:`randlr.core._tall_r_factor`).
     """
     _check_trial_args(F, r, trials, master_seed, mode)
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
     if s < 2:
         raise ValueError(f"oversampling must be at least 2, got {s}")
-    spectrum = singular_values(F)
+    reduced = _tall_r_factor(F)
+    spectrum = replace(singular_values(reduced), source_dims=F.shape)
     tau = effective_tail_energy(spectrum, r)
     bound = expected_error_bound(r, s, tau)
     # The verdict checks the bound on the raw tail: a tail the snap to 0
@@ -370,7 +379,7 @@ def monte_carlo(
     meas_floor = RANK_TOL * math.sqrt(spectrum.total_energy())
     if mode == MODE_SQUARED:
         meas_floor **= 2
-    errors = _run_trials(F, r, s, trials, master_seed, workers)
+    errors = _run_trials(reduced, r, s, trials, master_seed, workers)
     config = _config("bench", F, r, trials, master_seed, mode, tau)
     config.update(oversampling=int(s), fallback=bool(r + s >= min(F.shape)))
     return _trial_report(
@@ -515,17 +524,25 @@ def beat_baseline_experiment(
     or r = min(a, b)); its ``baseline_error`` stays the measured one.
     :func:`plan` reports a budget on the floor as an infeasible outcome
     rather than an error: no rank-r method can be beaten there.
+
+    As in :func:`monte_carlo`, a tall F is reduced once to its b x b R
+    factor, and column selection runs on it too.  R has F's column norms
+    and inner products, so the greedy rule picks the same columns wherever
+    its runner-up is not within rounding, and the error is the same to
+    rounding: ``baseline_error`` may differ from selection on F itself in
+    its last digits.
     """
     known = [METHOD_COLUMN_SELECT, METHOD_TRUNCATED_SVD]
     if baseline not in known:
         raise ValueError(f"unknown baseline {baseline!r}, expected one of {known}")
     _check_trial_args(F, r, trials, master_seed, mode)
-    spectrum = singular_values(F)
+    reduced = _tall_r_factor(F)
+    spectrum = replace(singular_values(reduced), source_dims=F.shape)
     tau = effective_tail_energy(spectrum, r)
     if baseline == METHOD_TRUNCATED_SVD:
         base_err, on_floor = math.sqrt(tau), True
     else:
-        base_err = approximation_error(F, column_select(F, r))
+        base_err = approximation_error(reduced, column_select(reduced, r))
         on_floor = _is_dust(base_err**2, spectrum)
     if on_floor:  # tau itself: sqrt(tau)**2 may round above it
         budget = tau if mode == MODE_SQUARED else math.sqrt(tau)
@@ -550,5 +567,5 @@ def beat_baseline_experiment(
         )
 
     config["oversampling"] = chosen.oversampling
-    errors = _run_trials(F, r, chosen.oversampling, trials, master_seed)
+    errors = _run_trials(reduced, r, chosen.oversampling, trials, master_seed)
     return _trial_report(config, errors, mode, chosen.predicted_bound, budget, lambda mean, se: mean < budget)

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import randlr.experiments
 from randlr.baselines import _greedy_picks, column_select, truncated_svd
-from randlr.core import RANK_TOL, frobenius_norm, singular_values, thin_qr
+from randlr.core import RANK_TOL, _tall_r_factor, frobenius_norm, singular_values, thin_qr
+from randlr.experiments import beat_baseline_experiment
 from randlr.planner import tail_energy
 from randlr.rangefinder import METHOD_COLUMN_SELECT, METHOD_TRUNCATED_SVD, approximation_error
 
@@ -123,21 +125,24 @@ def test_column_select_overflowing_column_norm_is_value_error():
 
 def column_select_with_outer(F, r):
     """The greedy picks by deflating the whole residual at each pick, as
-    column_select made them before it down-dated norms, and the largest
-    remaining residual norm before each pick."""
+    column_select made them before it down-dated norms, the largest
+    remaining residual norm before each pick, and the runner-up's: the
+    largest among the columns of F other than the picked one's copies."""
     resid = np.array(F, dtype=np.float64)
-    picked, largest = [], []
+    picked, largest, runner_up = [], [], []
     for _ in range(r):
         norms = np.einsum("ij,ij->j", resid, resid)
         norms[picked] = -1.0
         j = int(np.argmax(norms))
         picked.append(j)
         largest.append(np.sqrt(norms[j]))
+        norms[(F == F[:, [j]]).all(axis=0)] = 0.0
+        runner_up.append(np.sqrt(norms.max()))
         nrm = np.linalg.norm(resid[:, j])
         if nrm > 0.0:
             q = resid[:, j] / nrm
             resid -= np.outer(q, q @ resid)
-    return picked, largest
+    return picked, largest, runner_up
 
 
 def assert_same_picks(F, r):
@@ -146,7 +151,7 @@ def assert_same_picks(F, r):
     every candidate is rounding dust.  Picks compare as columns: duplicated
     columns tie exactly, full deflation's rounding breaks such a tie either
     way, and the basis depends only on the picked columns."""
-    ref, largest = column_select_with_outer(F, r)
+    ref, largest, _ = column_select_with_outer(F, r)
     cut = RANK_TOL * np.sqrt(np.einsum("ij,ij->j", F, F).max())
     m = next((k for k, norm in enumerate(largest) if norm <= cut), r)
     assert np.array_equal(F[:, _greedy_picks(F, r)[:m]], F[:, ref[:m]])
@@ -195,3 +200,42 @@ def test_column_select_recomputes_cancelled_norms():
     rotation = np.linalg.qr(np.random.default_rng(0).standard_normal((50, 50)))[0]
     for G in (F, rotation[:, :6] @ F):
         assert list(_greedy_picks(G, 3)) == column_select_with_outer(G, 3)[0] == [0, 1, 2]
+
+
+def tall_version(F, seed):
+    """F rotated into 2 max(a, b) rows: a tall input with F's column geometry."""
+    a, b = F.shape
+    return np.linalg.qr(np.random.default_rng(seed).standard_normal((2 * max(a, b), a)))[0] @ F
+
+
+@pytest.mark.parametrize("kind", ["near-ties", "graded", "duplicates", "rank-deficient"])
+def test_column_select_on_the_r_factor_matches_f(kind, monkeypatch):
+    # bench and beat select columns on a tall F's R factor.  R has F's column
+    # norms and inner products, so the picks are F's wherever the runner-up
+    # trails by more than RANK_TOL times the largest column norm (compared as
+    # columns: copies tie exactly), and the error is F's to rounding.
+    compared, beats = 0, []
+    for seed in range(100):
+        F, r = pick_corpus(kind, seed)
+        F = tall_version(F, seed)
+        R = _tall_r_factor(F)
+        assert R.shape == (F.shape[1], F.shape[1])
+        _, largest, runner_up = column_select_with_outer(F, r)
+        cut = RANK_TOL * np.sqrt(np.einsum("ij,ij->j", F, F).max())
+        m = next((k for k in range(r) if largest[k] - runner_up[k] <= cut), r)
+        assert np.array_equal(F[:, _greedy_picks(F, r)[:m]], F[:, _greedy_picks(R, r)[:m]])
+        compared += m
+        if m == r:  # the error's rounding is absolute, on the scale of eps ||F||
+            errors = approximation_error(F, column_select(F, r)), approximation_error(R, column_select(R, r))
+            assert errors[1] == pytest.approx(errors[0], rel=1e-13, abs=1e-13 * frobenius_norm(F))
+        if seed < 10:
+            beats.append((F, r))
+    assert compared > 1000
+
+    def plans():
+        reports = [beat_baseline_experiment(F, r, METHOD_COLUMN_SELECT, 20, master_seed=7) for F, r in beats]
+        return [(rep.config["plan"]["s"], rep.verdict) for rep in reports]
+
+    through_r = plans()
+    monkeypatch.setattr(randlr.experiments, "_tall_r_factor", lambda M: M)
+    assert plans() == through_r

@@ -14,7 +14,7 @@ import pytest
 from randlr import cli
 from randlr.cli import main
 from randlr.core import thin_qr
-from randlr.experiments import CHUNK_ENTRIES
+from randlr.experiments import CHUNK_ENTRIES, KIND_PRESCRIBED, GeneratorSpec, generate
 from randlr.io import read_matrix, write_csv, write_matrix_market
 from randlr.rangefinder import load_factored
 
@@ -590,6 +590,25 @@ def test_malformed_matrix_file_prints_no_traceback(tmp_path):
     )
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr == f"error: {path}: Line 3: Integer out of range.\n"
+
+
+def test_beat_prints_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
+    # A BLAS dot product splits its sum across threads: as the residual's
+    # norm, it once moved this input's baseline_error and epsilon by an ulp
+    spectrum = tuple(1.0 / np.arange(1, 201))
+    path = tmp_path / "inv.csv"
+    write_csv(path, generate(GeneratorSpec(dims=(200, 200), kind=KIND_PRESCRIBED, spectrum=spectrum, seed=1)))
+    argv = [sys.executable, "-m", "randlr.cli", "beat", str(path), "--rank", "10", "--baseline", "colsel",
+            "--trials", "200", "--seed", "11"]
+
+    def run(threads):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"),
+                   OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+        proc = subprocess.run(argv, env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    assert run(1) == run(2)
 
 
 def test_import_cli_loads_neither_scipy_nor_a_thread_pool():

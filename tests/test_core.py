@@ -424,14 +424,34 @@ def svd_inputs(a, b):
     yield rng.standard_normal((a, b)) * np.exp(rng.normal(0.0, 3.0, size=b))
 
 
+def largest_entry(M):
+    return np.abs(M).max()
+
+
+#: dgesdd rescales a matrix whose largest |entry| is nonzero and outside
+#: [2**-459, 2**459]; the edge scales set an input's largest |entry| on both
+#: sides of both thresholds and exactly on them.  Off the thresholds they
+#: are not powers of two, which dgesdd's rescaling would apply exactly.
+EDGE_SCALES = tuple(0.7 * 2.0**e for e in (-469, -459, -455, 457, 458, 461)) + (2.0**-459, 2.0**459)
+
+
 @pytest.mark.parametrize("shape", [(73, 40), (3000, 40), (2000, 150), (1000, 300), (40, 1)], ids="{0[0]}x{0[1]}".format)
 def test_right_svd_factors_equal_svd_factors_bitwise(shape):
-    for M in svd_inputs(*shape):
+    inputs = list(svd_inputs(*shape))
+    gaussian = inputs[0]
+    inputs += [gaussian / largest_entry(gaussian) * scale for scale in EDGE_SCALES]
+    inside = []  # (M inside the range, R inside the range) per input
+    for M in inputs:
         before = M.copy()
         values, Vt = right_svd_factors(M)
         _, ref_values, ref_Vt = svd_factors(M)
         assert np.array_equal(values, ref_values) and np.array_equal(Vt, ref_Vt)
         assert np.array_equal(M, before)
+        R = np.linalg.qr(M, mode="r")
+        inside.append(tuple(2.0**-459 <= largest_entry(X) <= 2.0**459 for X in (M, R)))
+    # every case of the range rule occurs: both inside, M inside and R
+    # outside (R's entries can outgrow M's), and M outside on either side
+    assert {(True, True), (True, False), (False, True), (False, False)} <= set(inside)
 
 
 def test_right_svd_factors_take_the_r_factor_from_lapack_crossover(monkeypatch):

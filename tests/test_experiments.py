@@ -476,8 +476,10 @@ def test_forbid_decomposition_stops_the_r_factor_route(monkeypatch):
 
 
 def test_tall_reports_equal_the_direct_svd_route(monkeypatch):
-    # 3000 x 40 is past dgesdd's crossover, so the trials take sv and Vt
-    # through F's R factor; forcing the SVD of F itself changes no bit
+    # 3000 x 40 is past dgesdd's crossover, so bench and beat work on F's R
+    # factor.  Running them on F itself, with the SVD of F for the trials,
+    # changes no bit of bench; in beat it moves only the last digits of the
+    # column-selection error and the budget made from it.
     F = signal_noise((3000, 40), 12)
 
     def reports():
@@ -486,9 +488,15 @@ def test_tall_reports_equal_the_direct_svd_route(monkeypatch):
         assert len(beat.per_trial_errors) == 30
         return bench.to_dict(), beat.to_dict()
 
-    through_r = reports()
+    through_r, beat = reports()
+    monkeypatch.setattr(randlr.experiments, "_tall_r_factor", lambda M: M)
     monkeypatch.setattr(randlr.experiments, "right_svd_factors", lambda M: svd_factors(M)[1:])
-    assert reports() == through_r
+    direct, direct_beat = reports()
+    assert direct == through_r
+    moved = [[r["config"].pop("baseline_error"), r["config"]["plan"].pop("epsilon"), r.pop("epsilon")]
+             for r in (beat, direct_beat)]
+    assert direct_beat == beat
+    assert moved[1] == pytest.approx(moved[0], rel=1e-13)
 
 
 def test_bench_plan_and_beat_report_the_same_tau():
@@ -498,6 +506,41 @@ def test_bench_plan_and_beat_report_the_same_tau():
     assert tau == 0.0
     assert monte_carlo(F, 4, 2, 3, master_seed=5).config["tail_energy"] == tau
     assert beat_baseline_experiment(F, 4, METHOD_COLUMN_SELECT, 3, master_seed=5).config["tail_energy"] == tau
+    # tall inputs past dgesdd's rescaling thresholds: at 1e-139 F's largest
+    # entry is below 2**-459, at 1e137 its R factor's is above 2**459, and
+    # the SVD of R would move tau's last bits
+    G = np.random.default_rng(8).standard_normal((300, 20))
+    for F in (1e-139 * G, 1e137 * G):
+        tau = plan(singular_values(F), 4, 1.0).tail_energy
+        assert tau > 0.0
+        assert monte_carlo(F, 4, 2, 3, master_seed=5).config["tail_energy"] == tau
+        assert beat_baseline_experiment(F, 4, METHOD_COLUMN_SELECT, 3, master_seed=5).config["tail_energy"] == tau
+
+
+@pytest.mark.parametrize("shape", [(3000, 40), (200, 200), (60, 40)], ids="{0[0]}x{0[1]}".format)
+def test_bench_and_beat_qr_factor_a_tall_f_once(monkeypatch, shape):
+    # A tall F is reduced once: its R factor serves the spectrum, the trials
+    # and column selection, so no other QR has F's a rows and no SVD sees an
+    # a x b matrix.  F that is not tall is never QR-factored whole.
+    F = signal_noise(shape, 6)
+    tall = shape[0] >= shape[1] * 11 // 6
+    qr_inputs, svd_shapes = [], []
+    qr, svd = np.linalg.qr, np.linalg.svd
+    monkeypatch.setattr(np.linalg, "qr", lambda M, *args, **kw: qr_inputs.append(M) or qr(M, *args, **kw))
+    monkeypatch.setattr(np.linalg, "svd", lambda M, *args, **kw: svd_shapes.append(M.shape) or svd(M, *args, **kw))
+    for run in (
+        lambda: monte_carlo(F, 5, 4, 30, master_seed=3),
+        lambda: beat_baseline_experiment(F, 5, METHOD_COLUMN_SELECT, 30, master_seed=3),
+    ):
+        qr_inputs.clear()
+        svd_shapes.clear()
+        run()
+        full_height = [M for M in qr_inputs if M.ndim == 2 and len(M) == len(F)]
+        if tall:
+            assert len(full_height) == 1 and full_height[0] is F
+            assert F.shape not in svd_shapes
+        else:
+            assert all(M.shape != F.shape for M in full_height)
 
 
 # --- pseudoinverse moment --------------------------------------------------------
