@@ -9,11 +9,10 @@ the conventions the rest of the package and its tests rely on:
   diagonal of R is non-negative (Q is then unique for full-rank input).
 * :func:`svd_factors` / :func:`singular_values` (``numpy.linalg.svd``) --
   values sorted non-increasing; U is orthonormal even for rank-deficient
-  input.  :func:`right_svd_factors` gives the same values and Vt without
-  U, through M's R factor on tall input (``_tall_r_factor``): from ``a >=
-  11 b / 6`` rows on, while the largest |entry| of M and of R is 0 or in
-  ``[2**-459, 2**459]``, the range where LAPACK's ``dgesdd`` rescales
-  neither.
+  input.  ``_tall_r_factor`` reduces a tall M to its R factor, whose SVD
+  gives M's values and Vt bit for bit: from ``a >= 11 b / 6`` rows on,
+  while the largest |entry| of M and of R is 0 or in ``[2**-459,
+  2**459]``, the range where LAPACK's ``dgesdd`` rescales neither.
 * :func:`pseudoinverse` -- singular values at or below ``RANK_TOL *
   sigma_max`` count as zero; ``_kept`` is that rank cutoff.
 
@@ -50,7 +49,6 @@ __all__ = [
     "keyed_gaussian_matrices",
     "thin_qr",
     "svd_factors",
-    "right_svd_factors",
     "singular_values",
     "pseudoinverse",
     "RANK_TOL",
@@ -297,13 +295,6 @@ def _tall_r_factor(M: np.ndarray) -> np.ndarray:
         if _unscaled(R):
             return R
     return M
-
-
-def right_svd_factors(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(values, Vt)`` of :func:`svd_factors` without U, bit for bit: the SVD
-    of :func:`_tall_r_factor`, M's R factor on tall input in ``dgesdd``'s
-    no-rescaling range, M itself elsewhere."""
-    return np.linalg.svd(_tall_r_factor(M), full_matrices=False)[1:]
 
 
 def _sum_of_squares(values: np.ndarray) -> float:

@@ -27,8 +27,8 @@ from .core import (
     derive_seed,
     gaussian_matrix,
     keyed_gaussian_matrices,
-    right_svd_factors,
     singular_values,
+    svd_factors,
 )
 from .planner import (
     MODE_SQUARED,
@@ -180,13 +180,13 @@ class TrialReport:
 
     config: dict
     per_trial_errors: tuple[float, ...]
-    mean_error: float | None
-    mean_squared_error: float | None
-    std_error: float | None
-    bound: float | None
-    epsilon: float | None
-    fraction_below_epsilon: float | None
     verdict: str
+    mean_error: float | None = None
+    mean_squared_error: float | None = None
+    std_error: float | None = None
+    bound: float | None = None
+    epsilon: float | None = None
+    fraction_below_epsilon: float | None = None
 
     def to_dict(self) -> dict:
         return _fields_dict(self, schema_version=1)
@@ -229,9 +229,10 @@ def _map_draws(rows: int, cols: int, trials: int, master_seed: int, fn, workers:
 def _run_trials(F, r, s, trials, master_seed, workers=1) -> np.ndarray:
     """Errors of `trials` independent factorizations, indexed by trial.
 
-    ``F`` may be the input's R factor (:func:`randlr.core._tall_r_factor`):
-    the trials see only its singular values and right factor, the input's
-    bit for bit, and the exact fallback measures the same error to rounding.
+    ``F`` is :func:`_prepare`'s reduction (a tall input's R factor, else the
+    input): the trials see only its singular values and right factor, the
+    input's bit for bit, and the exact fallback measures the same error to
+    rounding.
     Trial i is the factorization seeded by ``derive_seed(master_seed, i)``,
     whatever the chunks and workers of :func:`_map_draws`.
 
@@ -261,7 +262,7 @@ def _run_trials(F, r, s, trials, master_seed, workers=1) -> np.ndarray:
         err = approximation_error(F, factorize(F, r, s, master_seed))
         return np.full(trials, err)
 
-    sv, Vt = right_svd_factors(F)
+    sv, Vt = svd_factors(F)[1:]
     scaled = sv[:, None] * Vt
     l = r + s
     tail2 = sv[l:] ** 2
@@ -278,8 +279,16 @@ def _run_trials(F, r, s, trials, master_seed, workers=1) -> np.ndarray:
     return _map_draws(F.shape[1], l, trials, master_seed, residual, workers)
 
 
-def _check_trial_args(F: np.ndarray, r: int, trials: int, seed: int, mode: str) -> None:
-    """Reject a bad rank, trial count, seed or mode before any decomposition."""
+def _prepare(kind, F, r, trials, seed, mode) -> tuple[np.ndarray, SingularSpectrum, dict]:
+    """``(reduced, spectrum, config)``: the start that ``bench`` and ``beat`` share.
+
+    A bad rank, trial count, seed or mode is rejected before any
+    decomposition.  F is then reduced once: a tall F to its b x b R factor,
+    whose singular values and right factor are F's bit for bit
+    (:func:`randlr.core._tall_r_factor`).  The spectrum is the reduction's,
+    with F's dims.  ``config`` holds the keys both reports share, and its
+    ``tail_energy`` is tau (:func:`effective_tail_energy`).
+    """
     check_rank(r, F.shape, "target rank")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -288,20 +297,19 @@ def _check_trial_args(F: np.ndarray, r: int, trials: int, seed: int, mode: str) 
     check_seed(seed)
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-
-
-def _config(kind: str, F: np.ndarray, r: int, trials: int, master_seed: int, mode: str, tau: float) -> dict:
-    """The ``config`` keys that ``bench`` and ``beat`` reports share."""
-    return {
+    reduced = _tall_r_factor(F)
+    spectrum = replace(singular_values(reduced), source_dims=F.shape)
+    config = {
         "kind": kind,
         "dims": [int(F.shape[0]), int(F.shape[1])],
         "rank": int(r),
         "trials": int(trials),
-        "master_seed": int(master_seed),
+        "master_seed": int(seed),
         "mode": mode,
         "seed_mix": SEED_MIX,
-        "tail_energy": tau,
+        "tail_energy": effective_tail_energy(spectrum, r),
     }
+    return reduced, spectrum, config
 
 
 def _std_error(samples: np.ndarray) -> float:
@@ -355,21 +363,15 @@ def monte_carlo(
     ``tail_energy`` and ``bound`` but never turns a satisfied verdict into
     a violated one.  The report has no budget: its ``epsilon`` and
     ``fraction_below_epsilon`` are None.  ``workers`` threads share the
-    trial chunks; the report does not depend on their number.
-
-    After validation, F is reduced once: on a tall input the spectrum and
-    the trials work on its b x b R factor, whose singular values and right
-    factor are F's bit for bit (:func:`randlr.core._tall_r_factor`).
+    trial chunks; the report does not depend on their number.  The
+    spectrum and the trials work on the reduction of :func:`_prepare`.
     """
-    _check_trial_args(F, r, trials, master_seed, mode)
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
     if s < 2:
         raise ValueError(f"oversampling must be at least 2, got {s}")
-    reduced = _tall_r_factor(F)
-    spectrum = replace(singular_values(reduced), source_dims=F.shape)
-    tau = effective_tail_energy(spectrum, r)
-    bound = expected_error_bound(r, s, tau)
+    reduced, spectrum, config = _prepare("bench", F, r, trials, master_seed, mode)
+    bound = expected_error_bound(r, s, config["tail_energy"])
     # The verdict checks the bound on the raw tail: a tail the snap to 0
     # removed still shows in the errors, at up to sqrt(min(F.shape)) times
     # the rounding dust.  meas_floor is slack for that dust, not a floor
@@ -380,7 +382,6 @@ def monte_carlo(
     if mode == MODE_SQUARED:
         meas_floor **= 2
     errors = _run_trials(reduced, r, s, trials, master_seed, workers)
-    config = _config("bench", F, r, trials, master_seed, mode, tau)
     config.update(oversampling=int(s), fallback=bool(r + s >= min(F.shape)))
     return _trial_report(
         config, errors, mode, bound, None, lambda mean, se: mean <= raw_bound + 3.0 * se + meas_floor
@@ -525,20 +526,18 @@ def beat_baseline_experiment(
     :func:`plan` reports a budget on the floor as an infeasible outcome
     rather than an error: no rank-r method can be beaten there.
 
-    As in :func:`monte_carlo`, a tall F is reduced once to its b x b R
-    factor, and column selection runs on it too.  R has F's column norms
-    and inner products, so the greedy rule picks the same columns wherever
-    its runner-up is not within rounding, and the error is the same to
-    rounding: ``baseline_error`` may differ from selection on F itself in
-    its last digits.
+    As in :func:`monte_carlo`, the spectrum and the trials work on the
+    reduction of :func:`_prepare`, and column selection runs on it too.  A
+    tall F's R factor has F's column norms and inner products, so the
+    greedy rule picks the same columns wherever its runner-up is not within
+    rounding, and the error is the same to rounding: ``baseline_error`` may
+    differ from selection on F itself in its last digits.
     """
     known = [METHOD_COLUMN_SELECT, METHOD_TRUNCATED_SVD]
     if baseline not in known:
         raise ValueError(f"unknown baseline {baseline!r}, expected one of {known}")
-    _check_trial_args(F, r, trials, master_seed, mode)
-    reduced = _tall_r_factor(F)
-    spectrum = replace(singular_values(reduced), source_dims=F.shape)
-    tau = effective_tail_energy(spectrum, r)
+    reduced, spectrum, config = _prepare("beat", F, r, trials, master_seed, mode)
+    tau = config["tail_energy"]
     if baseline == METHOD_TRUNCATED_SVD:
         base_err, on_floor = math.sqrt(tau), True
     else:
@@ -549,22 +548,10 @@ def beat_baseline_experiment(
     else:
         budget = base_err**2 if mode == MODE_SQUARED else base_err
     chosen = plan(spectrum, r, budget, mode)
-    config = _config("beat", F, r, trials, master_seed, mode, tau)
     config.update(baseline=baseline, baseline_error=base_err, plan=chosen.to_dict())
     if not chosen.feasible:
-        config["trials"] = 0
-        config["trials_requested"] = int(trials)
-        return TrialReport(
-            config=config,
-            per_trial_errors=(),
-            mean_error=None,
-            mean_squared_error=None,
-            std_error=None,
-            bound=None,
-            epsilon=budget,
-            fraction_below_epsilon=None,
-            verdict=VERDICT_NOT_APPLICABLE,
-        )
+        config.update(trials=0, trials_requested=int(trials))
+        return TrialReport(config=config, per_trial_errors=(), verdict=VERDICT_NOT_APPLICABLE, epsilon=budget)
 
     config["oversampling"] = chosen.oversampling
     errors = _run_trials(reduced, r, chosen.oversampling, trials, master_seed)

@@ -9,6 +9,7 @@ import pytest
 from randlr.core import (
     MAX_TRIALS,
     SingularSpectrum,
+    _tall_r_factor,
     as_matrix,
     check_seed,
     derive_keys,
@@ -17,7 +18,6 @@ from randlr.core import (
     gaussian_matrix,
     keyed_gaussian_matrices,
     pseudoinverse,
-    right_svd_factors,
     singular_values,
     svd_factors,
     thin_qr,
@@ -436,16 +436,19 @@ EDGE_SCALES = tuple(0.7 * 2.0**e for e in (-469, -459, -455, 457, 458, 461)) + (
 
 
 @pytest.mark.parametrize("shape", [(73, 40), (3000, 40), (2000, 150), (1000, 300), (40, 1)], ids="{0[0]}x{0[1]}".format)
-def test_right_svd_factors_equal_svd_factors_bitwise(shape):
+def test_tall_r_factor_svd_equals_svd_factors_bitwise(shape):
     inputs = list(svd_inputs(*shape))
     gaussian = inputs[0]
     inputs += [gaussian / largest_entry(gaussian) * scale for scale in EDGE_SCALES]
     inside = []  # (M inside the range, R inside the range) per input
     for M in inputs:
         before = M.copy()
-        values, Vt = right_svd_factors(M)
+        reduced = _tall_r_factor(M)
+        _, values, Vt = svd_factors(reduced)
         _, ref_values, ref_Vt = svd_factors(M)
         assert np.array_equal(values, ref_values) and np.array_equal(Vt, ref_Vt)
+        # the values-only route of bench and beat's spectrum
+        assert np.array_equal(singular_values(reduced).values, singular_values(M).values)
         assert np.array_equal(M, before)
         R = np.linalg.qr(M, mode="r")
         inside.append(tuple(2.0**-459 <= largest_entry(X) <= 2.0**459 for X in (M, R)))
@@ -454,15 +457,15 @@ def test_right_svd_factors_equal_svd_factors_bitwise(shape):
     assert {(True, True), (True, False), (False, True), (False, False)} <= set(inside)
 
 
-def test_right_svd_factors_take_the_r_factor_from_lapack_crossover(monkeypatch):
+def test_tall_r_factor_takes_the_r_factor_from_lapack_crossover(monkeypatch):
     # dgesdd's crossover for 40 columns is int(11 * 40 / 6) = 73 rows; at 72
     # the SVD runs on M itself, whose bits differ from the R factor's
     calls = []
     qr = np.linalg.qr
     monkeypatch.setattr(np.linalg, "qr", lambda M, mode: calls.append(M.shape) or qr(M, mode))
     for M in svd_inputs(73, 40):
-        right_svd_factors(M[:72])
-        right_svd_factors(M)
+        _tall_r_factor(M[:72])
+        _tall_r_factor(M)
     assert calls == [(73, 40)] * 3
 
 

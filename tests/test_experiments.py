@@ -407,40 +407,46 @@ def test_monte_carlo_validates():
         monte_carlo(F, 1, 2, 5, master_seed=1, mode="bogus")
 
 
-def test_monte_carlo_validates_before_decomposing(monkeypatch):
-    def no_svd(_):
-        raise AssertionError("F decomposed before validation")
-
-    monkeypatch.setattr(randlr.experiments, "singular_values", no_svd)
-    monkeypatch.setattr(randlr.experiments, "right_svd_factors", no_svd)
-    F = np.eye(6)
-    for r, s, trials, mode in [(1, 1, 5, "literal"), (0, 2, 5, "literal"), (7, 2, 5, "literal"),
-                               (1, 2, 0, "literal"), (1, 2, 5, "bogus")]:
-        with pytest.raises(ValueError):
-            monte_carlo(F, r, s, trials, master_seed=1, mode=mode)
-    with pytest.raises(ValueError):
-        beat_baseline_experiment(F, 7, METHOD_COLUMN_SELECT, 5, master_seed=1)
-
-
 def forbid_decomposition(monkeypatch):
+    """Make every SVD, QR and inverse raise: the R factor of a tall F, its
+    spectrum and the moment's batched decompositions."""
+
     def no_svd(*_, **__):
         raise AssertionError("decomposed before validation")
 
-    monkeypatch.setattr(randlr.experiments, "singular_values", no_svd)
-    monkeypatch.setattr(randlr.experiments, "right_svd_factors", no_svd)
-    for name in ("svd", "qr", "inv"):  # the moment's batched decompositions
+    for name in ("svd", "qr", "inv"):
         monkeypatch.setattr(np.linalg, name, no_svd)
+
+
+def validation_inputs():
+    """A square F and a tall one, which bench and beat reduce to its R factor."""
+    return np.eye(6), np.random.default_rng(4).standard_normal((300, 20))
+
+
+def test_monte_carlo_validates_before_decomposing(monkeypatch):
+    forbid_decomposition(monkeypatch)
+    for F in validation_inputs():
+        bad_rank = min(F.shape) + 1
+        for r, s, trials, mode in [(1, 1, 5, "literal"), (0, 2, 5, "literal"), (bad_rank, 2, 5, "literal"),
+                                   (1, 2, 0, "literal"), (1, 2, 5, "bogus")]:
+            with pytest.raises(ValueError):
+                monte_carlo(F, r, s, trials, master_seed=1, mode=mode)
+        with pytest.raises(ValueError):
+            beat_baseline_experiment(F, bad_rank, METHOD_COLUMN_SELECT, 5, master_seed=1)
+        with pytest.raises(ValueError):
+            beat_baseline_experiment(F, 1, METHOD_COLUMN_SELECT, 5, master_seed=1, mode="bogus")
 
 
 def test_negative_seed_rejected_before_decomposing(monkeypatch):
     forbid_decomposition(monkeypatch)
-    F = np.eye(6)
-    for call in (
-        lambda: monte_carlo(F, 1, 2, 5, master_seed=-1),
-        lambda: monte_carlo(F, 1, 5, 5, master_seed=-1),  # exact fallback
-        lambda: beat_baseline_experiment(F, 1, METHOD_COLUMN_SELECT, 5, master_seed=-1),
-        lambda: verify_gaussian_pinv_moment(2, 3, 10, master_seed=-1),
-    ):
+    calls = [lambda: verify_gaussian_pinv_moment(2, 3, 10, master_seed=-1)]
+    for F in validation_inputs():
+        calls += [
+            lambda F=F: monte_carlo(F, 1, 2, 5, master_seed=-1),
+            lambda F=F: monte_carlo(F, 1, min(F.shape) - 1, 5, master_seed=-1),  # exact fallback
+            lambda F=F: beat_baseline_experiment(F, 1, METHOD_COLUMN_SELECT, 5, master_seed=-1),
+        ]
+    for call in calls:
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             call()
 
@@ -448,31 +454,29 @@ def test_negative_seed_rejected_before_decomposing(monkeypatch):
 def test_trials_past_one_spawn_word_rejected_before_decomposing(monkeypatch):
     # trial indices must stay below 2**32; nothing of size 2**32 is allocated
     forbid_decomposition(monkeypatch)
-    F = np.eye(6)
-    for call in (
-        lambda: monte_carlo(F, 1, 2, 2**32 + 1, master_seed=1),
-        lambda: beat_baseline_experiment(F, 1, METHOD_COLUMN_SELECT, 2**32 + 1, master_seed=1),
-        lambda: verify_gaussian_pinv_moment(2, 3, 2**32 + 1, master_seed=1),
-    ):
+    calls = [lambda: verify_gaussian_pinv_moment(2, 3, 2**32 + 1, master_seed=1)]
+    for F in validation_inputs():
+        calls += [
+            lambda F=F: monte_carlo(F, 1, 2, 2**32 + 1, master_seed=1),
+            lambda F=F: beat_baseline_experiment(F, 1, METHOD_COLUMN_SELECT, 2**32 + 1, master_seed=1),
+        ]
+    for call in calls:
         with pytest.raises(ValueError, match="trials must be at most 2\\*\\*32"):
             call()
 
 
 @pytest.mark.parametrize("workers", [0, -3])
 def test_worker_count_validated_before_decomposing(monkeypatch, workers):
-    def no_svd(_):
-        raise AssertionError("F decomposed before validation")
-
-    monkeypatch.setattr(randlr.experiments, "singular_values", no_svd)
-    monkeypatch.setattr(randlr.experiments, "right_svd_factors", no_svd)
-    with pytest.raises(ValueError, match="worker"):
-        monte_carlo(np.eye(6), 1, 2, 5, master_seed=1, workers=workers)
+    forbid_decomposition(monkeypatch)
+    for F in validation_inputs():
+        with pytest.raises(ValueError, match="worker"):
+            monte_carlo(F, 1, 2, 5, master_seed=1, workers=workers)
 
 
 def test_forbid_decomposition_stops_the_r_factor_route(monkeypatch):
     forbid_decomposition(monkeypatch)
     with pytest.raises(AssertionError, match="decomposed before validation"):
-        randlr.core.right_svd_factors(np.ones((3000, 40)))
+        randlr.core._tall_r_factor(np.ones((3000, 40)))
 
 
 def test_tall_reports_equal_the_direct_svd_route(monkeypatch):
@@ -490,7 +494,6 @@ def test_tall_reports_equal_the_direct_svd_route(monkeypatch):
 
     through_r, beat = reports()
     monkeypatch.setattr(randlr.experiments, "_tall_r_factor", lambda M: M)
-    monkeypatch.setattr(randlr.experiments, "right_svd_factors", lambda M: svd_factors(M)[1:])
     direct, direct_beat = reports()
     assert direct == through_r
     moved = [[r["config"].pop("baseline_error"), r["config"]["plan"].pop("epsilon"), r.pop("epsilon")]
