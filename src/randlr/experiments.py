@@ -74,6 +74,10 @@ VERDICT_NOT_APPLICABLE = "not-applicable"
 # Entries per stacked array of a trial or moment chunk (256 KB), whatever the trial count.
 CHUNK_ENTRIES = 1 << 15
 
+# Entries of one trial group's stacked draws, sketched in one product.  Unlike
+# CHUNK_ENTRIES it fixes each trial's arithmetic (its slot), as SEED_MIX fixes its stream.
+SKETCH_ENTRIES = 1 << 15
+
 # Entries of one moment draw (1 GiB of float64), checked before anything is drawn.
 MAX_DRAW_ENTRIES = 1 << 27
 
@@ -198,31 +202,32 @@ def _map_draws(rows: int, cols: int, trials: int, master_seed: int, fn, workers:
     Draw i uses the substream derived from (master_seed, i), so results do
     not depend on execution order or on the number of workers.  Every
     draw's Philox key is derived up front in one pass (:func:`derive_keys`).
-    Draws run in chunks of consecutive indices, each one stacked
-    :func:`keyed_gaussian_matrices` call passed to ``fn``, which returns one
-    value per draw.  A chunk holds at most ``CHUNK_ENTRIES`` drawn doubles
-    (one draw per chunk when a draw needs more), so memory grows with the
-    number of threads, not of draws.  Chunk boundaries depend only on the
-    shapes and the draw count; a pool of ``min(workers, chunks, allowed
-    CPUs)`` threads shares the chunks, each a slice of the one key array.
+    Draws run in chunks of consecutive indices.  ``fn(lo, draws)`` gets a
+    chunk's first draw index and its one stacked
+    :func:`keyed_gaussian_matrices` call, and returns one value per draw.
+    A chunk holds at most ``CHUNK_ENTRIES`` drawn doubles (one draw per
+    chunk when a draw needs more), so memory grows with the number of
+    threads, not of draws.  Chunk boundaries depend only on the shapes and
+    the draw count; a pool of ``min(workers, chunks, allowed CPUs)``
+    threads shares the chunks, each a slice of the one key array.
     """
     step = max(1, CHUNK_ENTRIES // (rows * cols))
     keys = derive_keys(master_seed, trials)
-    chunks = [keys[lo : lo + step] for lo in range(0, trials, step)]
+    starts = range(0, trials, step)
 
-    def run(chunk: np.ndarray) -> np.ndarray:
-        return fn(keyed_gaussian_matrices(rows, cols, chunk))
+    def run(lo: int) -> np.ndarray:
+        return fn(lo, keyed_gaussian_matrices(rows, cols, keys[lo : lo + step]))
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    threads = min(workers, len(chunks), cpus)
+    threads = min(workers, len(starts), cpus)
     if threads == 1:
-        values = [run(chunk) for chunk in chunks]
+        values = [run(lo) for lo in starts]
     else:
         # imported here: a serial run never loads concurrent.futures (nor the logging it imports)
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(run, chunks))
+            values = list(pool.map(run, starts))
     return np.concatenate(values)
 
 
@@ -251,11 +256,20 @@ def _run_trials(F, r, s, trials, master_seed, workers=1) -> np.ndarray:
     to rounding.  The tail terms are accurate: each is off by at most
     about (l + 3) eps sv_j^2, and by Eckart-Young the squared error of any
     rank-l basis is at least ``sum_{j>=l} sv_j^2``, so their rounding stays
-    below about (l + 3) eps times the squared error.  Every per-trial sum
-    runs along rows, never through a matrix-vector product (BLAS may block
-    that by the chunk's length), so a trial's bits do not depend on its
-    chunk.  Every stacked array of a chunk is at most b x l per trial
-    (k <= b), so the draw's chunk rule bounds them all.
+    below about (l + 3) eps times the squared error.
+
+    The sketches of ``g = max(1, SKETCH_ENTRIES // (b l))`` consecutive
+    trials are one product ``Z @ (diag(sv) Vt)^T`` of fixed shape, where Z
+    (g l x b) stacks their ``G^T``: trial i sits in slot ``i % g`` of group
+    ``i // g``, and the slots of a group that a chunk edge or the last
+    trial cuts off are zeros.  BLAS computes a row of a product of fixed
+    shape the same way whatever the other rows hold, so a trial's sketch
+    depends on g and its slot alone, never on its chunk, the trial count or
+    the workers.  Every per-trial sum runs along rows, never through a
+    matrix-vector product (BLAS may block that by the chunk's length).  At
+    the defaults a chunk is one whole group, or the last, cut one, so
+    every stacked array is at most ``SKETCH_ENTRIES`` entries, or one
+    trial's when a trial needs more.
     """
     if r + s >= min(F.shape):
         # The exact fallback ignores its seed; one evaluation serves all trials.
@@ -263,20 +277,28 @@ def _run_trials(F, r, s, trials, master_seed, workers=1) -> np.ndarray:
         return np.full(trials, err)
 
     sv, Vt = svd_factors(F)[1:]
-    scaled = sv[:, None] * Vt
-    l = r + s
+    b, k, l = F.shape[1], len(sv), r + s
+    right = (sv[:, None] * Vt).T
     tail2 = sv[l:] ** 2
+    group = max(1, SKETCH_ENTRIES // (b * l))
 
-    def residual(G: np.ndarray) -> np.ndarray:
-        W = np.linalg.qr(scaled @ G)[0]
+    def residual(lo: int, G: np.ndarray) -> np.ndarray:
+        n, front = len(G), lo % group
+        groups = -(-(front + n) // group)  # the groups this chunk touches
+        Z = G.transpose(0, 2, 1)  # the sampler's contiguous G^T stack
+        if front or n < groups * group:  # a cut group: its other slots are zeros
+            Z = np.zeros((groups * group, l, b))
+            Z[front : front + n] = G.transpose(0, 2, 1)
+        Y = (Z.reshape(groups, group * l, b) @ right).reshape(-1, l, k)[front : front + n]
+        W = np.linalg.qr(Y.transpose(0, 2, 1))[0]  # column-major: LAPACK's copy is cheaper
         # (W W^T - I) diag(sv) in its first l columns, the diagonal subtracted in place
         top = W @ (W[:, :l].transpose(0, 2, 1) * sv[:l])
-        top.reshape(len(G), -1)[:, : l * l : l + 1] -= sv[:l]
+        top.reshape(n, -1)[:, : l * l : l + 1] -= sv[:l]
         rows = np.einsum("nji,nji->nj", W[:, l:], W[:, l:])
         tail = np.einsum("nj,j->n", 1.0 - rows, tail2)  # rounding may leave it just below 0
         return np.sqrt(np.einsum("nij,nij->n", top, top) + np.maximum(tail, 0.0))
 
-    return _map_draws(F.shape[1], l, trials, master_seed, residual, workers)
+    return _map_draws(b, l, trials, master_seed, residual, workers)
 
 
 def _prepare(kind, F, r, trials, seed, mode) -> tuple[np.ndarray, SingularSpectrum, dict]:
@@ -485,7 +507,7 @@ def verify_gaussian_pinv_moment(r: int, s: int, trials: int, master_seed: int) -
     if r * (r + s) > MAX_DRAW_ENTRIES:
         raise ValueError(f"one {r}x{r + s} draw has {r * (r + s)} entries, more than 2**27")
     # derive_keys rejects a negative seed and more than 2**32 trials before any draw
-    samples = _map_draws(r, r + s, trials, master_seed, _stack_pinv_energies)
+    samples = _map_draws(r, r + s, trials, master_seed, lambda lo, draws: _stack_pinv_energies(draws))
     estimate = float(samples.mean())
     se = _std_error(samples)
     expected = r / (s - 1.0)

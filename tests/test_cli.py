@@ -14,7 +14,7 @@ import pytest
 from randlr import cli
 from randlr.cli import main
 from randlr.core import thin_qr
-from randlr.experiments import CHUNK_ENTRIES, KIND_PRESCRIBED, GeneratorSpec, generate
+from randlr.experiments import CHUNK_ENTRIES, KIND_PRESCRIBED, KIND_SIGNAL_NOISE, GeneratorSpec, generate
 from randlr.io import read_matrix, write_csv, write_matrix_market
 from randlr.rangefinder import load_factored
 
@@ -592,14 +592,24 @@ def test_malformed_matrix_file_prints_no_traceback(tmp_path):
     assert proc.stderr == f"error: {path}: Line 3: Integer out of range.\n"
 
 
-def test_beat_prints_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
+BLAS_THREAD_RUNS = {
     # A BLAS dot product splits its sum across threads: as the residual's
     # norm, it once moved this input's baseline_error and epsilon by an ulp
-    spectrum = tuple(1.0 / np.arange(1, 201))
-    path = tmp_path / "inv.csv"
-    write_csv(path, generate(GeneratorSpec(dims=(200, 200), kind=KIND_PRESCRIBED, spectrum=spectrum, seed=1)))
-    argv = [sys.executable, "-m", "randlr.cli", "beat", str(path), "--rank", "10", "--baseline", "colsel",
-            "--trials", "200", "--seed", "11"]
+    "beat-200x200": (GeneratorSpec(dims=(200, 200), kind=KIND_PRESCRIBED, spectrum=tuple(1.0 / np.arange(1, 201)),
+                                   seed=1), ["beat", "--rank", "10", "--baseline", "colsel"]),
+    # reduced to its 40x40 R factor; each group of 45 trials is one sketch product,
+    # large enough for BLAS to share it among threads
+    "bench-600x40": (GeneratorSpec(dims=(600, 40), kind=KIND_SIGNAL_NOISE, signal_rank=8, noise_level=0.05, seed=2),
+                     ["bench", "--rank", "8", "--oversample", "10"]),
+}
+
+
+@pytest.mark.parametrize("name", list(BLAS_THREAD_RUNS))
+def test_beat_prints_the_same_bytes_at_one_and_two_blas_threads(tmp_path, name):
+    spec, command = BLAS_THREAD_RUNS[name]
+    path = tmp_path / "F.csv"
+    write_csv(path, generate(spec))
+    argv = [sys.executable, "-m", "randlr.cli", command[0], str(path), *command[1:], "--trials", "200", "--seed", "11"]
 
     def run(threads):
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"),

@@ -274,15 +274,20 @@ ENGINE_CASES = {
 
 
 def per_trial_errors(F, r, s, trials, master_seed):
-    """The trial engine one trial at a time, evaluated in the engine's order: with
-    ``W = orth(diag(sv) Vt G_i)``, the residual's first l columns are formed and
-    column j >= l adds ``sv_j^2 (1 - ||W[j]||^2)``."""
+    """The trial engine one trial at a time, evaluated in the engine's order: the
+    sketch of trial i is its slot ``i % g`` of ``Z @ (diag(sv) Vt)^T``, where Z stacks
+    g trials' ``G^T`` and holds ``G_i^T`` alone.  With ``W = orth(diag(sv) Vt G_i)``,
+    the residual's first l columns are formed and column j >= l adds ``sv_j^2 (1 -
+    ||W[j]||^2)``."""
     _, sv, Vt = svd_factors(F)
-    scaled = sv[:, None] * Vt
-    l = r + s
+    right = (sv[:, None] * Vt).T
+    b, l = F.shape[1], r + s
+    group = max(1, randlr.experiments.SKETCH_ENTRIES // (b * l))
     errors = []
     for i in range(trials):
-        W = build_basis(sketch(scaled, l, derive_seed(master_seed, i)))
+        Z = np.zeros((group, l, b))
+        Z[i % group] = gaussian_matrix(b, l, derive_seed(master_seed, i)).T
+        W = build_basis((Z.reshape(group * l, b) @ right).reshape(group, l, -1)[i % group].T)
         top = W @ (W[:l].T * sv[:l])
         top.flat[: l * l : l + 1] -= sv[:l]
         rows = np.einsum("ji,ji->j", W[l:], W[l:])
@@ -314,6 +319,9 @@ def test_run_trials_chunks_and_workers_do_not_change_errors(monkeypatch, name):
     run = randlr.experiments._run_trials
     reference = per_trial_errors(F, r, s, 97, 31)
     assert np.array_equal(run(F, r, s, 97, 31), reference)
+    # fewer trials cut the last group elsewhere: its zero slots change no trial
+    assert np.array_equal(run(F, r, s, 40, 31), reference[:40])
+    assert np.array_equal(run(F, r, s, 1, 31), reference[:1])
     # 8 trials per chunk: 97 trials leave a one-trial tail chunk
     monkeypatch.setattr(randlr.experiments, "CHUNK_ENTRIES", 8 * F.shape[1] * (r + s))
     for workers in (1, 2, 3):
@@ -569,29 +577,33 @@ def test_moment_deterministic():
 C2_CELLS = list(itertools.product((1, 2, 5, 10), (2, 3, 6, 11)))
 
 
+def moment_energies(lo, draws):
+    """The moment's ``fn`` for :func:`_map_draws`: a chunk's samples, whatever its start."""
+    return randlr.experiments._stack_pinv_energies(draws)
+
+
 @pytest.mark.parametrize("idx", range(len(C2_CELLS)), ids=[f"r{r}-s{s}" for r, s in C2_CELLS])
 def test_moment_std_error_is_the_plain_formula(idx):
     # C2's cells and seeds: the power-of-two scaling shared with bench changes no bit
     r, s = C2_CELLS[idx]
     seed = derive_seed(77, idx)
-    samples = randlr.experiments._map_draws(r, r + s, 2000, seed, randlr.experiments._stack_pinv_energies)
+    samples = randlr.experiments._map_draws(r, r + s, 2000, seed, moment_energies)
     check = verify_gaussian_pinv_moment(r, s, 2000, seed)
     assert check.std_error == float(samples.std(ddof=1) / math.sqrt(2000))
 
 
 @pytest.mark.parametrize("r,s", [(3, 3), (10, 11)])
 def test_moment_samples_match_pseudoinverse(r, s):
-    samples = randlr.experiments._map_draws(r, r + s, 200, 8, randlr.experiments._stack_pinv_energies)
+    samples = randlr.experiments._map_draws(r, r + s, 200, 8, moment_energies)
     for i, sample in enumerate(samples):
         G = gaussian_matrix(r, r + s, derive_seed(8, i))
         assert sample == pytest.approx(frobenius_norm(pseudoinverse(G)) ** 2, rel=1e-12)
 
 
 def test_moment_chunks_do_not_change_samples(monkeypatch):
-    energies = randlr.experiments._stack_pinv_energies
-    whole = randlr.experiments._map_draws(2, 5, 25, 4, energies)
+    whole = randlr.experiments._map_draws(2, 5, 25, 4, moment_energies)
     monkeypatch.setattr(randlr.experiments, "CHUNK_ENTRIES", 7 * 2 * 5)  # 7 draws per chunk
-    assert np.array_equal(randlr.experiments._map_draws(2, 5, 25, 4, energies), whole)
+    assert np.array_equal(randlr.experiments._map_draws(2, 5, 25, 4, moment_energies), whole)
 
 
 def test_moment_validates():
@@ -701,7 +713,7 @@ def test_moment_routes_are_counted(monkeypatch):
 
     monkeypatch.setattr(randlr.experiments, "_svd_pinv_energies", counting)
     for r, s in [(1, 2), (5, 6), (10, 21)]:
-        randlr.experiments._map_draws(r, r + s, 500, 11, randlr.experiments._stack_pinv_energies)
+        randlr.experiments._map_draws(r, r + s, 500, 11, moment_energies)
     assert routed == []  # every Gaussian draw of these runs is certified
     r, s = 4, 3
     stack = np.concatenate([keyed_gaussian_matrices(r, r + s, derive_keys(9, 6)), uncertified_draws(r, s)])
