@@ -7,14 +7,13 @@ an error budget, and ships a Monte Carlo harness that validates those
 predictions empirically.
 """
 
-from .baselines import column_select, truncated_svd
+from .baselines import column_select
 from .core import (
     SingularSpectrum,
     as_matrix,
     derive_seed,
     frobenius_norm,
     gaussian_matrix,
-    pseudoinverse,
     singular_values,
     svd_factors,
     thin_qr,
@@ -78,7 +77,6 @@ __all__ = [
     "load_factored",
     "monte_carlo",
     "plan",
-    "pseudoinverse",
     "read_matrix",
     "read_matrix_market",
     "save_factored",
@@ -87,7 +85,6 @@ __all__ = [
     "svd_factors",
     "tail_energy",
     "thin_qr",
-    "truncated_svd",
     "verify_gaussian_pinv_moment",
     "write_csv",
     "write_matrix",

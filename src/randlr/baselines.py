@@ -1,41 +1,21 @@
-"""Deterministic low-rank baselines.
+"""Deterministic low-rank baseline: greedy column selection.
 
-Two stand-ins for the non-randomized approximation family: the truncated
-SVD (optimal, sits exactly on the Eckart-Young floor) and greedy column
-selection (suboptimal but deterministic, so it always leaves a strictly
-positive gap for a randomized method to beat).  Both return the same
-factored form as the randomized pipeline, distinguished by method tag.
+It stands in for the non-randomized approximation family: suboptimal but
+deterministic, so it always leaves a strictly positive gap for a
+randomized method to beat.  It returns the same factored form as the
+randomized pipeline, distinguished by method tag.  The other baseline,
+the truncated SVD, sits exactly on the Eckart-Young floor, so ``beat``
+takes its error as ``sqrt(tau)`` from the spectrum and builds nothing.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import check_rank, svd_factors, thin_qr
-from .rangefinder import (
-    METHOD_COLUMN_SELECT,
-    METHOD_TRUNCATED_SVD,
-    FactoredApproximation,
-)
+from .core import check_rank, thin_qr
+from .rangefinder import METHOD_COLUMN_SELECT, FactoredApproximation
 
-__all__ = ["truncated_svd", "column_select"]
-
-
-def truncated_svd(F: np.ndarray, r: int) -> FactoredApproximation:
-    """Rank-r truncated SVD: the best possible rank-r approximation.
-
-    Its squared Frobenius error equals the tail energy past index r.
-    """
-    check_rank(r, F.shape)
-    U, vals, Vt = svd_factors(F)
-    return FactoredApproximation(
-        basis=U[:, :r],
-        coeffs=vals[:r, None] * Vt[:r, :],
-        target_rank=r,
-        oversampling=0,
-        seed=None,
-        method=METHOD_TRUNCATED_SVD,
-    )
+__all__ = ["column_select"]
 
 
 def _greedy_picks(F: np.ndarray, r: int) -> np.ndarray:

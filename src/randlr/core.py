@@ -13,8 +13,8 @@ the conventions the rest of the package and its tests rely on:
   gives M's values and Vt bit for bit: from ``a >= 11 b / 6`` rows on,
   while the largest |entry| of M and of R is 0 or in ``[2**-459,
   2**459]``, the range where LAPACK's ``dgesdd`` rescales neither.
-* :func:`pseudoinverse` -- singular values at or below ``RANK_TOL *
-  sigma_max`` count as zero; ``_kept`` is that rank cutoff.
+* ``_kept`` -- the rank cutoff: singular values at or below ``RANK_TOL *
+  sigma_max`` count as zero.
 
 Sampling is numpy's: seed ``x`` draws numpy's ziggurat
 ``standard_normal`` from ``Philox(SeedSequence(x))``, so every (rows, cols,
@@ -50,7 +50,6 @@ __all__ = [
     "thin_qr",
     "svd_factors",
     "singular_values",
-    "pseudoinverse",
     "RANK_TOL",
     "MAX_TRIALS",
 ]
@@ -343,17 +342,3 @@ class SingularSpectrum:
 def singular_values(M: np.ndarray) -> SingularSpectrum:
     """Full singular spectrum of M, length min(a, b), non-increasing."""
     return SingularSpectrum(values=np.linalg.svd(M, compute_uv=False), source_dims=M.shape)
-
-
-def pseudoinverse(M: np.ndarray) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via the SVD.
-
-    Singular values below ``RANK_TOL * sigma_max`` are treated as exact
-    zeros, so numerically rank-deficient input yields the pseudoinverse of
-    its dominant part instead of an explosion.
-    """
-    U, vals, Vt = svd_factors(M)
-    keep = _kept(vals)
-    inv = np.zeros_like(vals)
-    inv[keep] = 1.0 / vals[keep]
-    return (Vt.T * inv) @ U.T

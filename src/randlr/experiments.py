@@ -430,8 +430,8 @@ class MomentCheck:
 
 def _svd_pinv_energies(draws: np.ndarray) -> np.ndarray:
     """``||pinv(G)||_F^2`` of each matrix G of a stack by the SVD rule: the
-    sum of 1/sigma^2 over the singular values that the rank cutoff of
-    :func:`randlr.core.pseudoinverse` keeps."""
+    sum of 1/sigma^2 over the singular values that the rank cutoff
+    ``randlr.core._kept`` keeps."""
     sv = np.linalg.svd(draws, compute_uv=False)
     inv2 = np.divide(1.0, sv**2, out=np.zeros_like(sv), where=_kept(sv))
     return inv2.sum(axis=1)

@@ -79,7 +79,7 @@ def tail_energy(spectrum, r: int) -> float:
 def _is_dust(energy: float, spectrum: SingularSpectrum) -> bool:
     """Whether a squared error ``energy`` of a rank-r approximation is
     rounding dust: spread over the spectrum's values, it is at or below the
-    pseudoinverse rank cutoff ``RANK_TOL * sigma_max``."""
+    rank cutoff ``RANK_TOL * sigma_max``."""
     if not len(spectrum.values) or spectrum.values[0] <= 0.0:
         return False
     # In norm units: squaring RANK_TOL * sigma_max overflows past sigma_max ~1e166.
@@ -89,9 +89,9 @@ def _is_dust(energy: float, spectrum: SingularSpectrum) -> bool:
 def effective_tail_energy(spectrum: SingularSpectrum, r: int) -> float:
     """Tail energy with values at the numerical-rank noise floor snapped to 0.
 
-    Tail singular values below the pseudoinverse rank cutoff carry only
-    rounding dust, not real energy; without the snap an exactly-rank-r
-    matrix measured through floating point would block every small budget.
+    Tail singular values below the rank cutoff carry only rounding dust,
+    not real energy; without the snap an exactly-rank-r matrix measured
+    through floating point would block every small budget.
     """
     tau = tail_energy(spectrum, r)
     return 0.0 if _is_dust(tau, spectrum) else tau

@@ -1,8 +1,9 @@
 """API integrity: every exported name exists once, and no import goes unused.
 
-Tools that walk the layers (such as a tracer wrapping every public
-function) call ``getattr`` on each ``__all__`` name, so a stale export
-breaks them; an import left behind by a deletion is dead code.
+``from randlr import *`` and tools that walk the layers (such as a tracer
+wrapping every public function) call ``getattr`` on each ``__all__`` name,
+so a stale export breaks them; an import left behind by a deletion is dead
+code.
 """
 
 import ast
@@ -14,12 +15,13 @@ import pytest
 import randlr
 
 LAYERS = ("core", "rangefinder", "planner", "baselines", "experiments", "io", "cli")
+MODULES = ["randlr"] + [f"randlr.{layer}" for layer in LAYERS]
 SOURCES = sorted(Path(randlr.__file__).parent.glob("*.py"))
 
 
-@pytest.mark.parametrize("layer", LAYERS)
-def test_all_names_resolve_and_are_unique(layer):
-    module = importlib.import_module(f"randlr.{layer}")
+@pytest.mark.parametrize("name", MODULES, ids=lambda name: name.rpartition(".")[2])
+def test_all_names_resolve_and_are_unique(name):
+    module = importlib.import_module(name)
     names = module.__all__
     assert len(names) == len(set(names))
     assert [n for n in names if not hasattr(module, n)] == []

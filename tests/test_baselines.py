@@ -4,52 +4,10 @@ import numpy as np
 import pytest
 
 import randlr.experiments
-from randlr.baselines import _greedy_picks, column_select, truncated_svd
-from randlr.core import RANK_TOL, _tall_r_factor, frobenius_norm, singular_values, thin_qr
+from randlr.baselines import _greedy_picks, column_select
+from randlr.core import RANK_TOL, _tall_r_factor, frobenius_norm, thin_qr
 from randlr.experiments import beat_baseline_experiment
-from randlr.planner import tail_energy
-from randlr.rangefinder import METHOD_COLUMN_SELECT, METHOD_TRUNCATED_SVD, approximation_error
-
-
-def test_truncated_svd_on_diagonal():
-    F = np.diag([3.0, 2.0, 1.0])
-    fa = truncated_svd(F, 2)
-    assert fa.method == METHOD_TRUNCATED_SVD
-    assert fa.basis.shape == (3, 2)
-    assert approximation_error(F, fa) ** 2 == pytest.approx(1.0, rel=1e-12)
-
-
-def test_truncated_svd_full_rank_is_exact():
-    rng = np.random.default_rng(1)
-    F = rng.standard_normal((8, 6))
-    fa = truncated_svd(F, 6)
-    assert approximation_error(F, fa) <= 1e-9 * frobenius_norm(F)
-
-
-def test_truncated_svd_achieves_tail_energy():
-    rng = np.random.default_rng(2)
-    F = rng.standard_normal((20, 15))
-    spec = singular_values(F)
-    fa = truncated_svd(F, 5)
-    assert approximation_error(F, fa) ** 2 == pytest.approx(tail_energy(spec, 5), rel=1e-8)
-
-
-def test_truncated_svd_rank_bounds():
-    F = np.eye(4)
-    with pytest.raises(ValueError):
-        truncated_svd(F, 0)
-    with pytest.raises(ValueError):
-        truncated_svd(F, 5)
-
-
-def test_truncated_svd_deterministic():
-    rng = np.random.default_rng(3)
-    F = rng.standard_normal((9, 9))
-    a = truncated_svd(F, 3)
-    b = truncated_svd(F, 3)
-    assert np.array_equal(a.basis, b.basis)
-    assert np.array_equal(a.coeffs, b.coeffs)
-    assert a.seed is None
+from randlr.rangefinder import METHOD_COLUMN_SELECT, approximation_error
 
 
 def test_column_select_on_diagonal():
@@ -73,7 +31,8 @@ def test_column_select_never_beats_svd():
         F = rng.standard_normal((12, 10))
         r = int(rng.integers(1, 8))
         err_greedy = approximation_error(F, column_select(F, r))
-        err_svd = approximation_error(F, truncated_svd(F, r))
+        U, vals, Vt = np.linalg.svd(F, full_matrices=False)
+        err_svd = frobenius_norm(F - U[:, :r] @ (vals[:r, None] * Vt[:r]))
         assert err_greedy >= err_svd - 1e-10
 
 
@@ -109,7 +68,6 @@ def test_column_select_rank_bounds():
 
 def test_baselines_have_no_oversampling():
     F = np.diag([5.0, 3.0, 2.0, 1.0])
-    assert truncated_svd(F, 2).oversampling == 0
     assert column_select(F, 2).oversampling == 0
 
 

@@ -1,4 +1,4 @@
-"""Kernel tests: norms, sampling, QR, SVD, pseudoinverse."""
+"""Kernel tests: input validation, norms, seeded sampling, QR, SVD, spectra."""
 
 import math
 import tracemalloc
@@ -17,7 +17,6 @@ from randlr.core import (
     frobenius_norm,
     gaussian_matrix,
     keyed_gaussian_matrices,
-    pseudoinverse,
     singular_values,
     svd_factors,
     thin_qr,
@@ -480,38 +479,3 @@ def test_spectrum_validation():
         SingularSpectrum(values=np.array([-1.0]), source_dims=(3, 2))
     with pytest.raises(ValueError):
         SingularSpectrum(values=np.array([1.0, 1.0, 1.0]), source_dims=(3, 2))  # too long
-
-
-# --- pseudoinverse -----------------------------------------------------------
-
-
-def test_pinv_diagonal_with_zero():
-    P = pseudoinverse(np.diag([2.0, 0.0]))
-    assert np.allclose(P, np.diag([0.5, 0.0]), atol=1e-14)
-
-
-def test_pinv_of_orthonormal_is_transpose():
-    rng = np.random.default_rng(12)
-    Q, _ = thin_qr(rng.standard_normal((9, 4)))
-    assert np.allclose(pseudoinverse(Q), Q.T, atol=1e-12)
-
-
-def test_pinv_moore_penrose_identities():
-    rng = np.random.default_rng(40)
-    M = rng.standard_normal((6, 4))
-    P = pseudoinverse(M)
-    assert frobenius_norm(M @ P @ M - M) <= 1e-10
-    assert frobenius_norm(P @ M @ P - P) <= 1e-10
-    assert frobenius_norm((M @ P).T - M @ P) <= 1e-10
-    assert frobenius_norm((P @ M).T - P @ M) <= 1e-10
-
-
-def test_pinv_involution_on_full_rank():
-    rng = np.random.default_rng(41)
-    M = rng.standard_normal((7, 5))
-    back = pseudoinverse(pseudoinverse(M))
-    assert frobenius_norm(back - M) <= 1e-8 * frobenius_norm(M)
-
-
-def test_pinv_zero_matrix():
-    assert np.array_equal(pseudoinverse(np.zeros((3, 5))), np.zeros((5, 3)))

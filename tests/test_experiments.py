@@ -11,15 +11,14 @@ import numpy as np
 import pytest
 
 import randlr.experiments
-from randlr.baselines import truncated_svd
 from randlr.core import (
+    RANK_TOL,
     SingularSpectrum,
     derive_keys,
     derive_seed,
     frobenius_norm,
     gaussian_matrix,
     keyed_gaussian_matrices,
-    pseudoinverse,
     singular_values,
     svd_factors,
 )
@@ -597,7 +596,7 @@ def test_moment_samples_match_pseudoinverse(r, s):
     samples = randlr.experiments._map_draws(r, r + s, 200, 8, moment_energies)
     for i, sample in enumerate(samples):
         G = gaussian_matrix(r, r + s, derive_seed(8, i))
-        assert sample == pytest.approx(frobenius_norm(pseudoinverse(G)) ** 2, rel=1e-12)
+        assert sample == pytest.approx(np.sum(np.linalg.pinv(G, rcond=RANK_TOL) ** 2), rel=1e-12)
 
 
 def test_moment_chunks_do_not_change_samples(monkeypatch):
@@ -656,6 +655,7 @@ def test_moment_uncertified_draws_take_the_svd_rule(zero_row):
     energies = randlr.experiments._stack_pinv_energies(mixed)
     for i, draw in zip((2, 6), odd):
         assert energies[i] == randlr.experiments._svd_pinv_energies(draw[None])[0]
+        assert energies[i] == pytest.approx(np.sum(np.linalg.pinv(draw, rcond=RANK_TOL) ** 2), rel=1e-12)
     assert np.isfinite(energies[2]) and energies[6] < 1e20  # the SVD rule dropped sigma = 0 and 1e-13
     alone = randlr.experiments._stack_pinv_energies(gaussians)
     assert np.array_equal(np.delete(energies, [2, 6]), alone)
@@ -698,6 +698,7 @@ def test_moment_draw_whose_inverse_overflows_takes_the_svd_rule():
         warnings.simplefilter("error", RuntimeWarning)
         energies = randlr.experiments._stack_pinv_energies(stack)
     assert energies[1] == randlr.experiments._svd_pinv_energies(tiny[None])[0]
+    assert energies[1] == pytest.approx(np.sum(np.linalg.pinv(tiny, rcond=RANK_TOL) ** 2), rel=1e-12)
     assert np.isfinite(energies[1])  # the SVD rule dropped sigma = 1e-310
     alone = randlr.experiments._stack_pinv_energies(gaussians)
     assert energies[0] == alone[0] and energies[2] == alone[2]
@@ -823,7 +824,8 @@ def test_beat_truncated_svd_literal_budget_is_the_plain_floor_error():
 def test_beat_truncated_svd_error_matches_its_measured_residual(dims, r, spec):
     F = generate(GeneratorSpec(dims=dims, **spec))
     rep = beat_baseline_experiment(F, r, METHOD_TRUNCATED_SVD, 10, master_seed=1)
-    measured = approximation_error(F, truncated_svd(F, r))
+    U, vals, Vt = np.linalg.svd(F, full_matrices=False)
+    measured = frobenius_norm(F - U[:, :r] @ (vals[:r, None] * Vt[:r]))
     assert rep.config["baseline_error"] == pytest.approx(measured, rel=1e-12, abs=0.0)
     assert_at_floor(rep)
 
@@ -862,7 +864,7 @@ def test_beat_truncated_svd_takes_one_values_only_svd(monkeypatch):
     measured = count_calls(monkeypatch, randlr.experiments, "approximation_error")
     rep = beat_baseline_experiment(F, 3, METHOD_TRUNCATED_SVD, 50, master_seed=1)
     assert rep.verdict == VERDICT_NOT_APPLICABLE
-    # truncated_svd would add a thin SVD with its vectors
+    # building the truncated SVD would add a thin SVD with its vectors
     assert svds == [{"compute_uv": False}]
     assert measured == []
 
