@@ -1,14 +1,65 @@
-"""Tests for the deterministic baselines."""
+"""Tests for the deterministic baselines: column selection, and the truncated
+SVD that ``beat`` takes at the optimal-error floor."""
 
 import numpy as np
 import pytest
 
 import randlr.experiments
 from randlr.baselines import _greedy_picks, column_select
-from randlr.core import RANK_TOL, _tall_r_factor, frobenius_norm, thin_qr
+from randlr.core import RANK_TOL, _tall_r_factor, frobenius_norm, singular_values, thin_qr
 from randlr.experiments import beat_baseline_experiment
-from randlr.rangefinder import METHOD_COLUMN_SELECT, approximation_error
+from randlr.planner import MODES, tail_energy
+from randlr.rangefinder import METHOD_COLUMN_SELECT, METHOD_TRUNCATED_SVD, approximation_error
 
+
+
+# --- the truncated SVD: ``beat`` takes its error as sqrt(tau) ----------------
+
+
+def svd_baseline(F, r, master_seed=1, **kwargs):
+    return beat_baseline_experiment(F, r, METHOD_TRUNCATED_SVD, 10, master_seed, **kwargs)
+
+
+def test_truncated_svd_on_diagonal():
+    rep = svd_baseline(np.diag([3.0, 2.0, 1.0]), 2)
+    assert rep.config["baseline"] == METHOD_TRUNCATED_SVD
+    assert rep.config["baseline_error"] ** 2 == pytest.approx(1.0, rel=1e-12)
+
+
+def test_truncated_svd_full_rank_is_exact():
+    rng = np.random.default_rng(1)
+    F = rng.standard_normal((8, 6))
+    for mode in MODES:
+        rep = svd_baseline(F, 6, mode=mode)
+        assert rep.config["baseline_error"] == 0.0 and rep.epsilon == 0.0
+
+
+def test_truncated_svd_achieves_tail_energy():
+    rng = np.random.default_rng(2)
+    F = rng.standard_normal((20, 15))
+    spec = singular_values(F)
+    rep = svd_baseline(F, 5)
+    assert rep.config["baseline_error"] ** 2 == pytest.approx(tail_energy(spec, 5), rel=1e-8)
+    U, vals, Vt = np.linalg.svd(F, full_matrices=False)
+    measured = frobenius_norm(F - U[:, :5] @ (vals[:5, None] * Vt[:5]))
+    assert rep.config["baseline_error"] == pytest.approx(measured, rel=1e-8)
+
+
+def test_truncated_svd_rank_bounds():
+    F = np.eye(4)
+    with pytest.raises(ValueError):
+        svd_baseline(F, 0)
+    with pytest.raises(ValueError):
+        svd_baseline(F, 5)
+
+
+def test_truncated_svd_deterministic():
+    rng = np.random.default_rng(3)
+    F = rng.standard_normal((9, 9))
+    a = svd_baseline(F, 3)
+    b = svd_baseline(F, 3, master_seed=2)  # no draw: the seed changes nothing
+    assert a.config["baseline_error"] == b.config["baseline_error"]
+    assert a.epsilon == b.epsilon and a.config["plan"] == b.config["plan"]
 
 def test_column_select_on_diagonal():
     # greedy picks the two largest-norm columns, leaving sigma_3 = 1 behind

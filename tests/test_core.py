@@ -1,7 +1,9 @@
-"""Kernel tests: input validation, norms, seeded sampling, QR, SVD, spectra."""
+"""Kernel tests: input validation, norms, seeded sampling, QR, SVD, spectra,
+and the pseudoinverse rank cutoff."""
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from randlr.core import (
     MAX_TRIALS,
     SingularSpectrum,
+    _kept,
     _tall_r_factor,
     as_matrix,
     check_seed,
@@ -21,6 +24,7 @@ from randlr.core import (
     svd_factors,
     thin_qr,
 )
+from randlr.experiments import _svd_pinv_energies
 
 
 def manual_frobenius(M):
@@ -479,3 +483,66 @@ def test_spectrum_validation():
         SingularSpectrum(values=np.array([-1.0]), source_dims=(3, 2))
     with pytest.raises(ValueError):
         SingularSpectrum(values=np.array([1.0, 1.0, 1.0]), source_dims=(3, 2))  # too long
+
+
+# --- the pseudoinverse rank cutoff -------------------------------------------
+# ``_kept`` drops singular values at or below RANK_TOL * sigma_max; ``moment``
+# sums 1/sigma^2 over the ones it keeps (``_svd_pinv_energies``).
+
+
+def pinv_energy(M):
+    """``||pinv(M)||_F^2`` of one matrix by the SVD rule."""
+    return _svd_pinv_energies(M[None])[0]
+
+
+def pinv_by_cutoff(M):
+    """pinv(M) from ``svd_factors``, inverting only the values ``_kept`` keeps."""
+    U, vals, Vt = svd_factors(M)
+    keep = _kept(vals)
+    return (Vt[keep].T / vals[keep]) @ U[:, keep].T
+
+
+def test_pinv_diagonal_with_zero():
+    assert _kept(np.array([2.0, 0.0])).tolist() == [True, False]
+    assert np.allclose(pinv_by_cutoff(np.diag([2.0, 0.0])), np.diag([0.5, 0.0]), atol=1e-14)
+    assert pinv_energy(np.diag([2.0, 0.0])) == pytest.approx(0.25, rel=1e-14)
+
+
+def test_pinv_of_orthonormal_is_transpose():
+    rng = np.random.default_rng(12)
+    Q, _ = thin_qr(rng.standard_normal((9, 4)))
+    assert np.allclose(pinv_by_cutoff(Q), Q.T, atol=1e-12)
+    assert pinv_energy(Q) == pytest.approx(4.0, rel=1e-12)
+
+
+def test_pinv_moore_penrose_identities():
+    rng = np.random.default_rng(40)
+    full = rng.standard_normal((6, 4))
+    rank2 = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 4))  # two values are rounding dust
+    for M in (full, rank2):
+        P = pinv_by_cutoff(M)
+        assert frobenius_norm(M @ P @ M - M) <= 1e-10
+        assert frobenius_norm(P @ M @ P - P) <= 1e-10
+        assert frobenius_norm((M @ P).T - M @ P) <= 1e-10
+        assert frobenius_norm((P @ M).T - P @ M) <= 1e-10
+        assert pinv_energy(M) == pytest.approx(frobenius_norm(P) ** 2, rel=1e-12)
+    assert _kept(singular_values(rank2).values).tolist() == [True, True, False, False]
+
+
+def test_pinv_involution_on_full_rank():
+    rng = np.random.default_rng(41)
+    M = rng.standard_normal((7, 5))
+    P = pinv_by_cutoff(M)
+    back = pinv_by_cutoff(P)
+    assert frobenius_norm(back - M) <= 1e-8 * frobenius_norm(M)
+    # pinv(M)'s values are 1/sigma: the rule keeps all of them and gives back ||M||^2
+    assert pinv_energy(P) == pytest.approx(frobenius_norm(M) ** 2, rel=1e-8)
+
+
+def test_pinv_zero_matrix():
+    Z = np.zeros((3, 5))
+    assert not _kept(singular_values(Z).values).any()
+    assert np.array_equal(pinv_by_cutoff(Z), np.zeros((5, 3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert pinv_energy(Z) == 0.0
