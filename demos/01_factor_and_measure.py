@@ -17,16 +17,16 @@ from randlr import (
     approximation_error,
     factorize,
     frobenius_norm,
+    generate,
     load_factored,
     save_factored,
     singular_values,
     tail_energy,
 )
-from randlr.experiments import gen_prescribed_spectrum
 
 # A 80x60 matrix whose singular values decay geometrically: sigma_i = 0.7^i.
 spectrum = tuple(0.7**i for i in range(1, 25))
-F = gen_prescribed_spectrum(
+F = generate(
     GeneratorSpec(dims=(80, 60), kind="prescribed-spectrum", spectrum=spectrum, seed=42)
 )
 print(f"target matrix: {F.shape[0]}x{F.shape[1]}, ||F|| = {frobenius_norm(F):.6f}")

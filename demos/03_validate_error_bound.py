@@ -8,11 +8,10 @@ errors.  Everything is keyed by a master seed: trial i draws its own
 substream, so the report is reproducible bit for bit.
 """
 
-from randlr import GeneratorSpec, monte_carlo
-from randlr.experiments import gen_prescribed_spectrum
+from randlr import GeneratorSpec, generate, monte_carlo
 
 spectrum = tuple(0.5**i for i in range(1, 21))
-F = gen_prescribed_spectrum(
+F = generate(
     GeneratorSpec(dims=(100, 100), kind="prescribed-spectrum", spectrum=spectrum, seed=2025)
 )
 

@@ -8,11 +8,10 @@ beats F* on average.  The one opponent this cannot work against is the
 truncated SVD: its error *is* the floor, so no budget below it exists.
 """
 
-from randlr import GeneratorSpec, beat_baseline_experiment
-from randlr.experiments import gen_signal_plus_noise
+from randlr import GeneratorSpec, beat_baseline_experiment, generate
 
 # Signal-plus-noise target: exact rank-5 signal, perturbation of norm 0.05.
-F = gen_signal_plus_noise(
+F = generate(
     GeneratorSpec(
         dims=(100, 80), kind="signal-plus-noise", signal_rank=5, noise_level=0.05, seed=21
     )

@@ -23,8 +23,6 @@ from .experiments import (
     MomentCheck,
     TrialReport,
     beat_baseline_experiment,
-    gen_prescribed_spectrum,
-    gen_signal_plus_noise,
     generate,
     monte_carlo,
     verify_gaussian_pinv_moment,
@@ -42,7 +40,6 @@ from .planner import (
 from .rangefinder import (
     FactoredApproximation,
     approximation_error,
-    build_basis,
     factorize,
     load_factored,
     save_factored,
@@ -63,7 +60,6 @@ __all__ = [
     "approximation_error",
     "as_matrix",
     "beat_baseline_experiment",
-    "build_basis",
     "choose_oversampling",
     "column_select",
     "derive_seed",
@@ -71,8 +67,6 @@ __all__ = [
     "factorize",
     "frobenius_norm",
     "gaussian_matrix",
-    "gen_prescribed_spectrum",
-    "gen_signal_plus_noise",
     "generate",
     "load_factored",
     "monte_carlo",

@@ -62,14 +62,11 @@ def _load_spectrum_or_matrix(path: str) -> SingularSpectrum:
         with open(path) as fh:
             try:
                 data = json.load(fh)
-                rows, cols = data["source_dims"]
-                if type(rows) is not int or type(cols) is not int:  # int() truncates 2.7 and reads true as 1
-                    raise TypeError(f"source_dims must be two integers, got {data['source_dims']}")
                 if any(type(v) not in (int, float) for v in data["values"]):  # asarray reads "2" and true as numbers
                     raise TypeError(f"values must be numbers, got {data['values']}")
                 return SingularSpectrum(
                     values=np.asarray(data["values"], dtype=np.float64),
-                    source_dims=(rows, cols),
+                    source_dims=data["source_dims"],
                 )
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(

@@ -86,15 +86,34 @@ def frobenius_norm(M: np.ndarray) -> float:
     return math.sqrt(np.einsum("i,i->", v, v))
 
 
+def _check_int(value, name: str) -> None:
+    """Reject anything but a Python or numpy integer: ``int()`` reads 2.7 as 2 and True as 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _dims(dims, name: str = "dimensions") -> tuple[int, int]:
+    """``dims`` as two Python ints; anything but two positive integers is a ValueError."""
+    if len(dims) != 2:
+        raise ValueError(f"{name} must be two integers, got {dims}")
+    for d in dims:
+        _check_int(d, name)
+    if dims[0] < 1 or dims[1] < 1:
+        raise ValueError(f"{name} must be positive, got {dims[0]}x{dims[1]}")
+    return int(dims[0]), int(dims[1])
+
+
 def check_seed(seed, name: str = "seed") -> None:
-    """Reject a negative seed before any work: like numpy's SeedSequence,
-    randlr seeds with non-negative integers only."""
-    if int(seed) < 0:
+    """Reject a seed that is not a non-negative integer before any work: like
+    numpy's SeedSequence, randlr seeds with non-negative integers only."""
+    _check_int(seed, name)
+    if seed < 0:
         raise ValueError(f"{name} must be a non-negative integer, got {seed}")
 
 
 def check_rank(r: int, shape, name: str = "rank") -> None:
-    """Reject a rank outside ``1 <= r <= min(shape)`` for a matrix of ``shape``."""
+    """Reject a rank that is not an integer in ``1 <= r <= min(shape)``."""
+    _check_int(r, name)
     if r < 1 or r > min(shape):
         raise ValueError(f"{name} {r} out of range for {shape[0]}x{shape[1]}")
 
@@ -196,11 +215,6 @@ def derive_keys(master_seed: int, count: int) -> np.ndarray:
     return words.T.astype("<u4", order="C").view("<u8")
 
 
-def _check_dims(rows: int, cols: int) -> None:
-    if rows < 1 or cols < 1:
-        raise ValueError(f"dimensions must be positive, got {rows}x{cols}")
-
-
 def keyed_gaussian_matrices(rows: int, cols: int, keys) -> np.ndarray:
     """Stack of ``len(keys)`` rows x cols standard normal matrices, one per
     Philox key.  ``keys`` is any sequence of pairs of uint64 words, such as
@@ -212,7 +226,7 @@ def keyed_gaussian_matrices(rows: int, cols: int, keys) -> np.ndarray:
     column.  Matrix j is therefore :func:`gaussian_matrix` of that seed, bit
     for bit, and depends on ``keys[j]`` alone.
     """
-    _check_dims(rows, cols)
+    _dims((rows, cols))
     z = np.empty((len(keys), cols, rows))
     bits = np.random.Philox(0)  # any key: each draw below sets its own
     normal = np.random.Generator(bits)
@@ -235,7 +249,7 @@ def gaussian_matrix(rows: int, cols: int, seed: int) -> np.ndarray:
     """Matrix with i.i.d. standard normal entries, reproducible per seed:
     numpy's ``standard_normal`` from ``Philox(SeedSequence(seed))``, filled
     column by column."""
-    _check_dims(rows, cols)
+    _dims((rows, cols))
     check_seed(seed)
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
     return gen.standard_normal((cols, rows)).T
@@ -320,7 +334,7 @@ class SingularSpectrum:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "source_dims", (int(self.source_dims[0]), int(self.source_dims[1])))
+        object.__setattr__(self, "source_dims", _dims(self.source_dims, "source_dims"))
         a, b = self.source_dims
         if vals.ndim != 1:
             raise ValueError("spectrum values must be a 1-D array")

@@ -19,6 +19,7 @@ from .core import (
     RANK_TOL,
     SEED_MIX,
     SingularSpectrum,
+    _dims,
     _kept,
     _tall_r_factor,
     check_rank,
@@ -29,6 +30,7 @@ from .core import (
     keyed_gaussian_matrices,
     singular_values,
     svd_factors,
+    thin_qr,
 )
 from .planner import (
     MODE_SQUARED,
@@ -43,7 +45,6 @@ from .rangefinder import (
     METHOD_COLUMN_SELECT,
     METHOD_TRUNCATED_SVD,
     approximation_error,
-    build_basis,
     factorize,
 )
 
@@ -56,8 +57,6 @@ __all__ = [
     "GeneratorSpec",
     "TrialReport",
     "MomentCheck",
-    "gen_prescribed_spectrum",
-    "gen_signal_plus_noise",
     "generate",
     "monte_carlo",
     "verify_gaussian_pinv_moment",
@@ -72,11 +71,9 @@ VERDICT_VIOLATED = "bound-violated"
 VERDICT_NOT_APPLICABLE = "not-applicable"
 
 # Entries per stacked array of a trial or moment chunk (256 KB), whatever the trial count.
+# A trial chunk is sketched in one product of fixed shape, so this constant fixes each
+# trial's arithmetic (its slot in that product), as SEED_MIX fixes its stream.
 CHUNK_ENTRIES = 1 << 15
-
-# Entries of one trial group's stacked draws, sketched in one product.  Unlike
-# CHUNK_ENTRIES it fixes each trial's arithmetic (its slot), as SEED_MIX fixes its stream.
-SKETCH_ENTRIES = 1 << 15
 
 # Entries of one moment draw (1 GiB of float64), checked before anything is drawn.
 MAX_DRAW_ENTRIES = 1 << 27
@@ -106,9 +103,7 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", (int(self.dims[0]), int(self.dims[1])))
-        if self.dims[0] < 1 or self.dims[1] < 1:
-            raise ValueError(f"dims must be positive, got {self.dims}")
+        object.__setattr__(self, "dims", _dims(self.dims, "dims"))
         if self.kind not in (KIND_PRESCRIBED, KIND_SIGNAL_NOISE):
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.spectrum is not None:
@@ -119,10 +114,10 @@ class GeneratorSpec:
             if not self.spectrum:
                 raise ValueError("prescribed-spectrum generator needs a non-empty spectrum")
             SingularSpectrum(self.spectrum, self.dims)
-        elif r is None or r < 1 or r > min(self.dims):
-            raise ValueError(f"signal rank {r} out of range for {self.dims[0]}x{self.dims[1]}")
-        elif noise is None or noise < 0.0 or not math.isfinite(noise):
-            raise ValueError(f"noise level must be finite and non-negative, got {noise}")
+        else:
+            check_rank(r, self.dims, "signal rank")
+            if noise is None or noise < 0.0 or not math.isfinite(noise):
+                raise ValueError(f"noise level must be finite and non-negative, got {noise}")
 
     def to_dict(self) -> dict:
         return _fields_dict(self)
@@ -132,38 +127,26 @@ def _with_singular_values(spec: GeneratorSpec, values: np.ndarray) -> np.ndarray
     """``(left * values) @ right.T``, whose singular values are ``values`` to
     rounding: the orthonormal factors come from QR of Gaussians seeded by
     ``derive_seed(spec.seed, 0)`` and ``derive_seed(spec.seed, 1)``."""
-    left = build_basis(gaussian_matrix(spec.dims[0], len(values), derive_seed(spec.seed, 0)))
-    right = build_basis(gaussian_matrix(spec.dims[1], len(values), derive_seed(spec.seed, 1)))
+    left = thin_qr(gaussian_matrix(spec.dims[0], len(values), derive_seed(spec.seed, 0)))[0]
+    right = thin_qr(gaussian_matrix(spec.dims[1], len(values), derive_seed(spec.seed, 1)))[0]
     return (left * values) @ right.T
 
 
-def gen_prescribed_spectrum(spec: GeneratorSpec) -> np.ndarray:
-    """Matrix with the requested singular values, random singular vectors."""
-    if spec.kind != KIND_PRESCRIBED:
-        raise ValueError(f"generator kind is {spec.kind!r}, not {KIND_PRESCRIBED!r}")
-    return _with_singular_values(spec, np.array(spec.spectrum))
+def generate(spec: GeneratorSpec) -> np.ndarray:
+    """The matrix ``spec`` describes.
 
-
-def gen_signal_plus_noise(spec: GeneratorSpec) -> np.ndarray:
-    """Exact-rank signal with unit singular values plus scaled Gaussian noise.
-
-    Noise entries are N(0, noise_level^2 / (a*b)), so the perturbation's
-    Frobenius norm is noise_level in expectation.
+    A prescribed spectrum gets its singular values and random singular
+    vectors.  Signal plus noise is an exact-rank signal with unit singular
+    values plus Gaussian noise of entries N(0, noise_level^2 / (a*b)), so
+    the perturbation's Frobenius norm is noise_level in expectation.
     """
-    if spec.kind != KIND_SIGNAL_NOISE:
-        raise ValueError(f"generator kind is {spec.kind!r}, not {KIND_SIGNAL_NOISE!r}")
+    if spec.kind == KIND_PRESCRIBED:
+        return _with_singular_values(spec, np.array(spec.spectrum))
     signal = _with_singular_values(spec, np.ones(spec.signal_rank))
     if spec.noise_level == 0.0:
         return signal
     a, b = spec.dims
     return signal + spec.noise_level / math.sqrt(a * b) * gaussian_matrix(a, b, derive_seed(spec.seed, 2))
-
-
-def generate(spec: GeneratorSpec) -> np.ndarray:
-    """Dispatch to the generator matching ``spec.kind``."""
-    if spec.kind == KIND_PRESCRIBED:
-        return gen_prescribed_spectrum(spec)
-    return gen_signal_plus_noise(spec)
 
 
 @dataclass(frozen=True)
@@ -202,21 +185,19 @@ def _map_draws(rows: int, cols: int, trials: int, master_seed: int, fn, workers:
     Draw i uses the substream derived from (master_seed, i), so results do
     not depend on execution order or on the number of workers.  Every
     draw's Philox key is derived up front in one pass (:func:`derive_keys`).
-    Draws run in chunks of consecutive indices.  ``fn(lo, draws)`` gets a
-    chunk's first draw index and its one stacked
-    :func:`keyed_gaussian_matrices` call, and returns one value per draw.
-    A chunk holds at most ``CHUNK_ENTRIES`` drawn doubles (one draw per
-    chunk when a draw needs more), so memory grows with the number of
-    threads, not of draws.  Chunk boundaries depend only on the shapes and
-    the draw count; a pool of ``min(workers, chunks, allowed CPUs)``
-    threads shares the chunks, each a slice of the one key array.
+    Draws run in chunks of ``max(1, CHUNK_ENTRIES // (rows * cols))``
+    consecutive indices, all full but the last, so memory grows with the
+    number of threads, not of draws.  ``fn(draws)`` gets a chunk's one
+    stacked :func:`keyed_gaussian_matrices` call and returns one value per
+    draw.  A pool of ``min(workers, chunks, allowed CPUs)`` threads shares
+    the chunks, each a slice of the one key array.
     """
     step = max(1, CHUNK_ENTRIES // (rows * cols))
     keys = derive_keys(master_seed, trials)
     starts = range(0, trials, step)
 
     def run(lo: int) -> np.ndarray:
-        return fn(lo, keyed_gaussian_matrices(rows, cols, keys[lo : lo + step]))
+        return fn(keyed_gaussian_matrices(rows, cols, keys[lo : lo + step]))
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     threads = min(workers, len(starts), cpus)
@@ -239,7 +220,7 @@ def _run_trials(F, r, s, trials, master_seed, workers=1) -> np.ndarray:
     input's bit for bit, and the exact fallback measures the same error to
     rounding.
     Trial i is the factorization seeded by ``derive_seed(master_seed, i)``,
-    whatever the chunks and workers of :func:`_map_draws`.
+    whatever the trial count and the workers of :func:`_map_draws`.
 
     Each trial runs in F's singular coordinates.  With ``F = U diag(sv) Vt``
     (k = min(a, b) singular values), the sketch ``F G = U (diag(sv) Vt G)``
@@ -258,18 +239,15 @@ def _run_trials(F, r, s, trials, master_seed, workers=1) -> np.ndarray:
     rank-l basis is at least ``sum_{j>=l} sv_j^2``, so their rounding stays
     below about (l + 3) eps times the squared error.
 
-    The sketches of ``g = max(1, SKETCH_ENTRIES // (b l))`` consecutive
+    The sketches of a chunk's ``g = max(1, CHUNK_ENTRIES // (b l))``
     trials are one product ``Z @ (diag(sv) Vt)^T`` of fixed shape, where Z
-    (g l x b) stacks their ``G^T``: trial i sits in slot ``i % g`` of group
-    ``i // g``, and the slots of a group that a chunk edge or the last
-    trial cuts off are zeros.  BLAS computes a row of a product of fixed
-    shape the same way whatever the other rows hold, so a trial's sketch
-    depends on g and its slot alone, never on its chunk, the trial count or
-    the workers.  Every per-trial sum runs along rows, never through a
-    matrix-vector product (BLAS may block that by the chunk's length).  At
-    the defaults a chunk is one whole group, or the last, cut one, so
-    every stacked array is at most ``SKETCH_ENTRIES`` entries, or one
-    trial's when a trial needs more.
+    (g l x b) stacks their ``G^T``: trial i sits in slot ``i % g``, and the
+    slots past the last trial of the last, short chunk are zeros.  BLAS
+    computes a row of a product of fixed shape the same way whatever the
+    other rows hold, so a trial's sketch depends on g and its slot alone,
+    never on the trial count or the workers.  Every per-trial sum runs
+    along rows, never through a matrix-vector product (BLAS may block that
+    by the chunk's length).
     """
     if r + s >= min(F.shape):
         # The exact fallback ignores its seed; one evaluation serves all trials.
@@ -280,16 +258,14 @@ def _run_trials(F, r, s, trials, master_seed, workers=1) -> np.ndarray:
     b, k, l = F.shape[1], len(sv), r + s
     right = (sv[:, None] * Vt).T
     tail2 = sv[l:] ** 2
-    group = max(1, SKETCH_ENTRIES // (b * l))
+    group = max(1, CHUNK_ENTRIES // (b * l))  # _map_draws' chunk length
 
-    def residual(lo: int, G: np.ndarray) -> np.ndarray:
-        n, front = len(G), lo % group
-        groups = -(-(front + n) // group)  # the groups this chunk touches
+    def residual(G: np.ndarray) -> np.ndarray:
+        n = len(G)
         Z = G.transpose(0, 2, 1)  # the sampler's contiguous G^T stack
-        if front or n < groups * group:  # a cut group: its other slots are zeros
-            Z = np.zeros((groups * group, l, b))
-            Z[front : front + n] = G.transpose(0, 2, 1)
-        Y = (Z.reshape(groups, group * l, b) @ right).reshape(-1, l, k)[front : front + n]
+        if n < group:  # the last, short chunk: its other slots are zeros
+            Z = np.concatenate([Z, np.zeros((group - n, l, b))])
+        Y = (Z.reshape(group * l, b) @ right).reshape(group, l, k)[:n]
         W = np.linalg.qr(Y.transpose(0, 2, 1))[0]  # column-major: LAPACK's copy is cheaper
         # (W W^T - I) diag(sv) in its first l columns, the diagonal subtracted in place
         top = W @ (W[:, :l].transpose(0, 2, 1) * sv[:l])
@@ -507,7 +483,7 @@ def verify_gaussian_pinv_moment(r: int, s: int, trials: int, master_seed: int) -
     if r * (r + s) > MAX_DRAW_ENTRIES:
         raise ValueError(f"one {r}x{r + s} draw has {r * (r + s)} entries, more than 2**27")
     # derive_keys rejects a negative seed and more than 2**32 trials before any draw
-    samples = _map_draws(r, r + s, trials, master_seed, lambda lo, draws: _stack_pinv_energies(draws))
+    samples = _map_draws(r, r + s, trials, master_seed, _stack_pinv_energies)
     estimate = float(samples.mean())
     se = _std_error(samples)
     expected = r / (s - 1.0)

@@ -1,10 +1,10 @@
 """Randomized range approximation in factored form.
 
 The pipeline is: multiply the target by a seeded Gaussian test matrix
-(:func:`sketch`), orthonormalize the result (:func:`build_basis`), then
-project the target onto that basis (:func:`factorize`).  The output is a
-:class:`FactoredApproximation` ``basis @ coeffs`` whose basis has ``target
-rank + oversampling`` orthonormal columns.
+(:func:`sketch`), orthonormalize the result (:func:`randlr.core.thin_qr`),
+then project the target onto that basis (:func:`factorize`).  The output
+is a :class:`FactoredApproximation` ``basis @ coeffs`` whose basis has
+``target rank + oversampling`` orthonormal columns.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .io import _writing, read_matrix_market, write_matrix_market
 __all__ = [
     "FactoredApproximation",
     "sketch",
-    "build_basis",
     "factorize",
     "approximation_error",
     "save_factored",
@@ -96,12 +95,6 @@ def sketch(F: np.ndarray, width: int, seed: int) -> np.ndarray:
     return F @ gaussian_matrix(F.shape[1], width, seed)
 
 
-def build_basis(Y: np.ndarray) -> np.ndarray:
-    """Orthonormal basis for the range of Y (tall matrices only)."""
-    Q, _ = thin_qr(Y)
-    return Q
-
-
 def factorize(F: np.ndarray, r: int, s: int, seed: int) -> FactoredApproximation:
     """Sketch -> basis -> coefficients in one call.
 
@@ -119,7 +112,7 @@ def factorize(F: np.ndarray, r: int, s: int, seed: int) -> FactoredApproximation
         basis, _, _ = svd_factors(F)
         method = METHOD_EXACT_FALLBACK
     else:
-        basis = build_basis(sketch(F, r + s, seed))
+        basis = thin_qr(sketch(F, r + s, seed))[0]
         method = METHOD_RANDOMIZED
     return FactoredApproximation(
         basis=basis,

@@ -32,8 +32,7 @@ from randlr.experiments import (
     VERDICT_SATISFIED,
     GeneratorSpec,
     beat_baseline_experiment,
-    gen_prescribed_spectrum,
-    gen_signal_plus_noise,
+    generate,
     monte_carlo,
     verify_gaussian_pinv_moment,
 )
@@ -60,7 +59,7 @@ def test_criterion_1_bound_validation_grid():
     # the named cell, with the tail energy taken from the requested
     # spectrum as an independent oracle
     t0 = time.perf_counter()
-    F = gen_prescribed_spectrum(
+    F = generate(
         GeneratorSpec(dims=(100, 100), kind=KIND_PRESCRIBED, spectrum=GEOMETRIC, seed=2025)
     )
     rep = monte_carlo(F, 5, 6, 500, master_seed=derive_seed(4242, 506))
@@ -75,7 +74,7 @@ def test_criterion_1_bound_validation_grid():
         failures.append(f"named cell took {elapsed:.1f}s (cap 30s)")
 
     for name, spectrum in (("geometric", GEOMETRIC), ("polynomial", POLYNOMIAL)):
-        F = gen_prescribed_spectrum(
+        F = generate(
             GeneratorSpec(dims=(100, 100), kind=KIND_PRESCRIBED, spectrum=spectrum, seed=2025)
         )
         for r, s in itertools.product((2, 5, 10), (3, 6, 12)):
@@ -137,7 +136,7 @@ def test_criterion_4_beat_deterministic_baseline():
     """Greedy baseline is beaten; the optimal baseline reports infeasible."""
     failures = []
     t0 = time.perf_counter()
-    F = gen_signal_plus_noise(
+    F = generate(
         GeneratorSpec(dims=(100, 80), kind=KIND_SIGNAL_NOISE, signal_rank=5,
                       noise_level=0.05, seed=21)
     )
@@ -169,7 +168,7 @@ def test_criterion_5_exact_rank_recovery():
     """Rank-r input is recovered to 1e-8 relative error in every trial."""
     failures = []
     for r in (1, 5, 10):
-        F = gen_prescribed_spectrum(
+        F = generate(
             GeneratorSpec(dims=(60, 40), kind=KIND_PRESCRIBED, spectrum=(1.0,) * r, seed=r)
         )
         rep = monte_carlo(F, r, 2, 30, master_seed=derive_seed(808, r))
@@ -258,7 +257,7 @@ def test_criterion_8_near_tight_bound_and_negative_control():
     squared error within bound + 3 SE) accepts the bound and rejects a bound
     with half its excess, (1 + r/(2(s-1))) * tau."""
     failures = []
-    F = gen_prescribed_spectrum(
+    F = generate(
         GeneratorSpec(dims=(100, 100), kind=KIND_PRESCRIBED, spectrum=CLIFF, seed=2025)
     )
     r = 5

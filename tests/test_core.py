@@ -14,6 +14,7 @@ from randlr.core import (
     _kept,
     _tall_r_factor,
     as_matrix,
+    check_rank,
     check_seed,
     derive_keys,
     derive_seed,
@@ -24,7 +25,8 @@ from randlr.core import (
     svd_factors,
     thin_qr,
 )
-from randlr.experiments import _svd_pinv_energies
+from randlr.experiments import _svd_pinv_energies, monte_carlo
+from randlr.rangefinder import factorize
 
 
 def manual_frobenius(M):
@@ -258,6 +260,32 @@ def test_derive_keys_rejects_indices_past_one_spawn_word():
 def test_negative_seed_is_rejected_by_name(call):
     with pytest.raises(ValueError, match="seed must be a non-negative integer"):
         call()
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, True, np.float64(3.0), "4", None])
+def test_non_integer_seed_is_rejected_by_name(seed):
+    # int() would read 1.5 as 1: factorize drew seed 1 and its result reported 1.5
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        check_seed(seed)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        factorize(np.eye(8), 3, 4, seed)
+    for ok in (np.int64(5), np.uint64(5), 2**64 + 3):
+        check_seed(ok)
+    assert factorize(np.eye(8), 3, 2, np.int32(7)).seed == 7
+
+
+@pytest.mark.parametrize("r", [2.5, 3.0, False, np.float64(2.0), None])
+def test_non_integer_rank_is_rejected_by_name(r):
+    # a fractional rank passed the range check and then failed inside numpy
+    F = np.diag(np.arange(8.0, 0.0, -1.0))
+    with pytest.raises(ValueError, match="rank must be an integer"):
+        check_rank(r, F.shape)
+    with pytest.raises(ValueError, match="target rank must be an integer"):
+        factorize(F, r, 2, 1)
+    with pytest.raises(ValueError, match="target rank must be an integer"):
+        monte_carlo(F, r, 2, 3, 1)
+    check_rank(np.int64(3), F.shape)
+    assert monte_carlo(F, np.int64(3), 2, 3, 1).config["rank"] == 3
 
 
 def test_negative_index_is_rejected_by_name():

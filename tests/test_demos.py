@@ -1,6 +1,8 @@
-"""Smoke test: every demo script runs to completion without stderr output."""
+"""Smoke tests: every demo script runs to completion without stderr output, and
+the README's Python examples run as written."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,3 +21,14 @@ def test_demo_runs_cleanly(demo, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+def test_readme_python_blocks_run_in_order(capsys):
+    # the quickstart shares one namespace across its blocks, as a reader pastes them
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    assert len(blocks) >= 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["p"].feasible
+    assert capsys.readouterr().err == ""

@@ -21,6 +21,7 @@ from randlr.core import (
     keyed_gaussian_matrices,
     singular_values,
     svd_factors,
+    thin_qr,
 )
 from randlr.experiments import (
     KIND_PRESCRIBED,
@@ -29,8 +30,6 @@ from randlr.experiments import (
     VERDICT_SATISFIED,
     GeneratorSpec,
     beat_baseline_experiment,
-    gen_prescribed_spectrum,
-    gen_signal_plus_noise,
     generate,
     monte_carlo,
     verify_gaussian_pinv_moment,
@@ -40,14 +39,13 @@ from randlr.rangefinder import (
     METHOD_COLUMN_SELECT,
     METHOD_TRUNCATED_SVD,
     approximation_error,
-    build_basis,
     factorize,
     sketch,
 )
 
 
 def prescribed(dims, values, seed):
-    return gen_prescribed_spectrum(
+    return generate(
         GeneratorSpec(dims=dims, kind=KIND_PRESCRIBED, spectrum=values, seed=seed)
     )
 
@@ -92,7 +90,7 @@ def test_graded_spectrum_tail_energy_and_plan(dims):
 
 def test_prescribed_deterministic():
     spec = GeneratorSpec(dims=(12, 9), kind=KIND_PRESCRIBED, spectrum=(3.0, 1.0), seed=4)
-    assert np.array_equal(gen_prescribed_spectrum(spec), gen_prescribed_spectrum(spec))
+    assert np.array_equal(generate(spec), generate(spec))
 
 
 def test_prescribed_validation():
@@ -104,15 +102,11 @@ def test_prescribed_validation():
         prescribed((4, 4), (-1.0,), seed=0)
     with pytest.raises(ValueError):
         prescribed((4, 4), (), seed=0)
-    with pytest.raises(ValueError):
-        gen_prescribed_spectrum(
-            GeneratorSpec(dims=(4, 4), kind=KIND_SIGNAL_NOISE, signal_rank=1, noise_level=0.0)
-        )
 
 
 def test_signal_noise_exact_rank_at_zero_noise():
     spec = GeneratorSpec(dims=(20, 15), kind=KIND_SIGNAL_NOISE, signal_rank=4, noise_level=0.0, seed=7)
-    F = gen_signal_plus_noise(spec)
+    F = generate(spec)
     sv = singular_values(F).values
     assert np.allclose(sv[:4], 1.0, atol=1e-10)  # unit top singular values
     assert sv[4] <= 1e-10
@@ -120,14 +114,14 @@ def test_signal_noise_exact_rank_at_zero_noise():
 
 def test_signal_noise_spectral_gap():
     spec = GeneratorSpec(dims=(100, 80), kind=KIND_SIGNAL_NOISE, signal_rank=5, noise_level=0.01, seed=11)
-    sv = singular_values(gen_signal_plus_noise(spec)).values
+    sv = singular_values(generate(spec)).values
     assert sv[4] / sv[5] >= 10.0
 
 
 def test_signal_noise_perturbation_size():
     spec = GeneratorSpec(dims=(60, 60), kind=KIND_SIGNAL_NOISE, signal_rank=3, noise_level=0.2, seed=13)
-    F = gen_signal_plus_noise(spec)
-    clean = gen_signal_plus_noise(
+    F = generate(spec)
+    clean = generate(
         GeneratorSpec(dims=(60, 60), kind=KIND_SIGNAL_NOISE, signal_rank=3, noise_level=0.0, seed=13)
     )
     # same seed, so the signal parts agree and the difference is the noise
@@ -136,13 +130,13 @@ def test_signal_noise_perturbation_size():
 
 def test_signal_noise_deterministic_and_validated():
     spec = GeneratorSpec(dims=(10, 10), kind=KIND_SIGNAL_NOISE, signal_rank=2, noise_level=0.5, seed=3)
-    assert np.array_equal(gen_signal_plus_noise(spec), gen_signal_plus_noise(spec))
+    assert np.array_equal(generate(spec), generate(spec))
     with pytest.raises(ValueError):
-        gen_signal_plus_noise(
+        generate(
             GeneratorSpec(dims=(10, 10), kind=KIND_SIGNAL_NOISE, signal_rank=11, noise_level=0.5)
         )
     with pytest.raises(ValueError):
-        gen_signal_plus_noise(
+        generate(
             GeneratorSpec(dims=(10, 10), kind=KIND_SIGNAL_NOISE, signal_rank=2, noise_level=-0.1)
         )
 
@@ -151,7 +145,7 @@ def test_signal_at_zero_noise_is_the_unit_prescribed_spectrum():
     # both generators build (left * values) @ right.T from the same seeded factors
     for dims, r, seed in [((6, 5), 1, 0), ((20, 15), 4, 7), ((300, 40), 5, 2**64 + 3)]:
         signal = GeneratorSpec(dims=dims, kind=KIND_SIGNAL_NOISE, signal_rank=r, noise_level=0.0, seed=seed)
-        assert np.array_equal(gen_signal_plus_noise(signal), prescribed(dims, (1.0,) * r, seed))
+        assert np.array_equal(generate(signal), prescribed(dims, (1.0,) * r, seed))
 
 
 def test_generate_dispatch():
@@ -171,12 +165,24 @@ def test_generator_spec_validation():
     for spectrum, match in [((), "non-empty"), (None, "non-empty"), ((1.0, 2.0), "non-increasing")]:
         with pytest.raises(ValueError, match=match):
             GeneratorSpec(dims=(5, 5), kind=KIND_PRESCRIBED, spectrum=spectrum)
-    for rank in (0, 6, None):
+    for rank in (0, 6):
         with pytest.raises(ValueError, match=f"signal rank {rank} out of range for 5x6"):
+            GeneratorSpec(dims=(5, 6), kind=KIND_SIGNAL_NOISE, signal_rank=rank, noise_level=0.1)
+    for rank in (None, 2.5, True):
+        with pytest.raises(ValueError, match="signal rank must be an integer"):
             GeneratorSpec(dims=(5, 6), kind=KIND_SIGNAL_NOISE, signal_rank=rank, noise_level=0.1)
     for noise in (-0.1, math.inf, None):
         with pytest.raises(ValueError, match="noise level must be finite and non-negative"):
             GeneratorSpec(dims=(5, 6), kind=KIND_SIGNAL_NOISE, signal_rank=5, noise_level=noise)
+
+
+@pytest.mark.parametrize("dims", [(3, 4, 5), (4,), (4, 4.7), (4.0, 4), (True, 3), (np.float64(5.0), 5)])
+def test_generator_spec_dims_must_be_two_integers(dims):
+    # int() used to read (3, 4, 5) as 3x4, (4, 4.7) as 4x4 and (True, 3) as 1x3
+    with pytest.raises(ValueError, match="dims must be"):
+        GeneratorSpec(dims=dims, kind=KIND_PRESCRIBED, spectrum=(1.0,))
+    spec = GeneratorSpec(dims=(np.int64(5), np.uint8(4)), kind=KIND_PRESCRIBED, spectrum=(1.0,))
+    assert spec.dims == (5, 4) and all(type(d) is int for d in spec.dims)
 
 
 # --- monte_carlo ---------------------------------------------------------------
@@ -229,7 +235,7 @@ def test_monte_carlo_parallel_schedule_identical():
 
 
 def signal_noise(dims, seed):
-    return gen_signal_plus_noise(
+    return generate(
         GeneratorSpec(dims=dims, kind=KIND_SIGNAL_NOISE, signal_rank=5, noise_level=0.3, seed=seed)
     )
 
@@ -275,18 +281,18 @@ ENGINE_CASES = {
 def per_trial_errors(F, r, s, trials, master_seed):
     """The trial engine one trial at a time, evaluated in the engine's order: the
     sketch of trial i is its slot ``i % g`` of ``Z @ (diag(sv) Vt)^T``, where Z stacks
-    g trials' ``G^T`` and holds ``G_i^T`` alone.  With ``W = orth(diag(sv) Vt G_i)``,
-    the residual's first l columns are formed and column j >= l adds ``sv_j^2 (1 -
-    ||W[j]||^2)``."""
+    a chunk's g trials' ``G^T`` (g from ``CHUNK_ENTRIES``) and holds ``G_i^T`` alone.
+    With ``W = orth(diag(sv) Vt G_i)``, the residual's first l columns are formed and
+    column j >= l adds ``sv_j^2 (1 - ||W[j]||^2)``."""
     _, sv, Vt = svd_factors(F)
     right = (sv[:, None] * Vt).T
     b, l = F.shape[1], r + s
-    group = max(1, randlr.experiments.SKETCH_ENTRIES // (b * l))
+    group = max(1, randlr.experiments.CHUNK_ENTRIES // (b * l))
     errors = []
     for i in range(trials):
         Z = np.zeros((group, l, b))
         Z[i % group] = gaussian_matrix(b, l, derive_seed(master_seed, i)).T
-        W = build_basis((Z.reshape(group * l, b) @ right).reshape(group, l, -1)[i % group].T)
+        W = thin_qr((Z.reshape(group * l, b) @ right).reshape(group, l, -1)[i % group].T)[0]
         top = W @ (W[:l].T * sv[:l])
         top.flat[: l * l : l + 1] -= sv[:l]
         rows = np.einsum("ji,ji->j", W[l:], W[l:])
@@ -300,7 +306,7 @@ def full_residual_errors(F, r, s, trials, master_seed):
     _, sv, Vt = svd_factors(F)
     errors = []
     for i in range(trials):
-        W = build_basis(sketch(sv[:, None] * Vt, r + s, derive_seed(master_seed, i)))
+        W = thin_qr(sketch(sv[:, None] * Vt, r + s, derive_seed(master_seed, i)))[0]
         errors.append(frobenius_norm(W @ (W.T * sv) - np.diag(sv)))
     return np.array(errors)
 
@@ -312,20 +318,49 @@ def test_run_trials_matches_full_residual(name):
     assert np.abs(errors - full_residual_errors(F, r, s, 40, 31)).max() <= 1e-14 * frobenius_norm(F)
 
 
+# Halko, Martinsson and Tropp (SIAM Rev. 53(2), 2011, Thm. 9.1): with Omega = Vt G,
+# Omega1 its first r rows and Omega2 the rest, every draw whose Omega1 has full row rank
+# gives tail_l <= err^2 <= X = tau + ||diag(sv[r:]) Omega2 pinv(Omega1)||_F^2, where
+# tail_l is the energy past l = r + s (Eckart-Young for a rank-l basis).  Both sides
+# are tight, so each gets the absolute slack SANDWICH_KAPPA * (eps ||F||_F)^2: the
+# largest kappa needed on these cases was 8.7, on exact-rank, where both sides are dust.
+SANDWICH_KAPPA = 16.0
+
+
+@pytest.mark.parametrize("s", [2, 3, 6])
+@pytest.mark.parametrize("name", list(ENGINE_CASES))
+def test_run_trials_inside_hmt_sandwich(name, s):
+    # the oracle rebuilds each trial's draw from its key, not through factorize
+    F, r, _ = ENGINE_CASES[name]()
+    _, sv, Vt = svd_factors(F)
+    b, l = F.shape[1], r + s
+    assert l < min(F.shape)
+    errors = randlr.experiments._run_trials(F, r, s, 40, 31)
+    tau, tail_l = np.sum(sv[r:] ** 2), np.sum(sv[l:] ** 2)
+    slack = SANDWICH_KAPPA * (np.finfo(np.float64).eps * frobenius_norm(F)) ** 2
+    for i, err in enumerate(errors):
+        omega = Vt @ gaussian_matrix(b, l, derive_seed(31, i))
+        X = tau + frobenius_norm(sv[r:, None] * omega[r:] @ np.linalg.pinv(omega[:r])) ** 2
+        assert tail_l - slack <= err**2 <= X + slack, (i, err**2, tail_l, X)
+
+
 @pytest.mark.parametrize("name", list(ENGINE_CASES))
 def test_run_trials_chunks_and_workers_do_not_change_errors(monkeypatch, name):
     F, r, s = ENGINE_CASES[name]()
     run = randlr.experiments._run_trials
     reference = per_trial_errors(F, r, s, 97, 31)
     assert np.array_equal(run(F, r, s, 97, 31), reference)
-    # fewer trials cut the last group elsewhere: its zero slots change no trial
+    # fewer trials cut the last chunk elsewhere: its zero slots change no trial
     assert np.array_equal(run(F, r, s, 40, 31), reference[:40])
     assert np.array_equal(run(F, r, s, 1, 31), reference[:1])
+    # the chunk length is the sketch group's, so each patched size has its own reference
     # 8 trials per chunk: 97 trials leave a one-trial tail chunk
     monkeypatch.setattr(randlr.experiments, "CHUNK_ENTRIES", 8 * F.shape[1] * (r + s))
+    reference = per_trial_errors(F, r, s, 97, 31)
     for workers in (1, 2, 3):
         assert np.array_equal(run(F, r, s, 97, 31, workers), reference)
     monkeypatch.setattr(randlr.experiments, "CHUNK_ENTRIES", 1)  # one trial per chunk
+    reference = per_trial_errors(F, r, s, 97, 31)
     for workers in (1, 2, 3):
         assert np.array_equal(run(F, r, s, 97, 31, workers), reference)
 
@@ -359,6 +394,8 @@ def test_pool_threads_bounded_by_chunks(monkeypatch):
     assert np.array_equal(randlr.experiments._run_trials(F, r, s, 12, 31, 10**6), serial)
     assert requested == []  # one chunk: no pool at all
     monkeypatch.setattr(randlr.experiments, "CHUNK_ENTRIES", 5 * 40 * (r + s))  # 5 trials per chunk
+    serial = randlr.experiments._run_trials(F, r, s, 12, 31)
+    assert requested == []
     assert np.array_equal(randlr.experiments._run_trials(F, r, s, 12, 31, 10**6), serial)
     assert requested == [3]
 
@@ -576,9 +613,9 @@ def test_moment_deterministic():
 C2_CELLS = list(itertools.product((1, 2, 5, 10), (2, 3, 6, 11)))
 
 
-def moment_energies(lo, draws):
-    """The moment's ``fn`` for :func:`_map_draws`: a chunk's samples, whatever its start."""
-    return randlr.experiments._stack_pinv_energies(draws)
+def moment_samples(r, s, trials, seed):
+    """The moment check's samples by draw: ``_map_draws`` of its r x (r+s) draws."""
+    return randlr.experiments._map_draws(r, r + s, trials, seed, randlr.experiments._stack_pinv_energies)
 
 
 @pytest.mark.parametrize("idx", range(len(C2_CELLS)), ids=[f"r{r}-s{s}" for r, s in C2_CELLS])
@@ -586,23 +623,23 @@ def test_moment_std_error_is_the_plain_formula(idx):
     # C2's cells and seeds: the power-of-two scaling shared with bench changes no bit
     r, s = C2_CELLS[idx]
     seed = derive_seed(77, idx)
-    samples = randlr.experiments._map_draws(r, r + s, 2000, seed, moment_energies)
+    samples = moment_samples(r, s, 2000, seed)
     check = verify_gaussian_pinv_moment(r, s, 2000, seed)
     assert check.std_error == float(samples.std(ddof=1) / math.sqrt(2000))
 
 
 @pytest.mark.parametrize("r,s", [(3, 3), (10, 11)])
 def test_moment_samples_match_pseudoinverse(r, s):
-    samples = randlr.experiments._map_draws(r, r + s, 200, 8, moment_energies)
+    samples = moment_samples(r, s, 200, 8)
     for i, sample in enumerate(samples):
         G = gaussian_matrix(r, r + s, derive_seed(8, i))
         assert sample == pytest.approx(np.sum(np.linalg.pinv(G, rcond=RANK_TOL) ** 2), rel=1e-12)
 
 
 def test_moment_chunks_do_not_change_samples(monkeypatch):
-    whole = randlr.experiments._map_draws(2, 5, 25, 4, moment_energies)
+    whole = moment_samples(2, 3, 25, 4)
     monkeypatch.setattr(randlr.experiments, "CHUNK_ENTRIES", 7 * 2 * 5)  # 7 draws per chunk
-    assert np.array_equal(randlr.experiments._map_draws(2, 5, 25, 4, moment_energies), whole)
+    assert np.array_equal(moment_samples(2, 3, 25, 4), whole)
 
 
 def test_moment_validates():
@@ -639,8 +676,8 @@ def uncertified_draws(r, s, zero_row=1):
     """An exactly singular draw (row ``zero_row`` zero) and one with condition number 1e13."""
     singular = gaussian_matrix(r, r + s, 1)
     singular[zero_row] = 0.0
-    left = build_basis(gaussian_matrix(r, r, 2))
-    right = build_basis(gaussian_matrix(r + s, r, 3))
+    left = thin_qr(gaussian_matrix(r, r, 2))[0]
+    right = thin_qr(gaussian_matrix(r + s, r, 3))[0]
     ill = (left * np.geomspace(1.0, 1e-13, r)) @ right.T
     return np.stack([singular, ill])
 
@@ -688,7 +725,7 @@ def test_moment_draw_whose_inverse_overflows_takes_the_svd_rule():
     r, s = 4, 3
     gaussians = keyed_gaussian_matrices(r, r + s, derive_keys(5, 3))
     tiny = gaussians[1].copy()
-    tiny[2] = 1e-310 * build_basis(gaussian_matrix(r + s, 1, 4))[:, 0]
+    tiny[2] = 1e-310 * thin_qr(gaussian_matrix(r + s, 1, 4))[0][:, 0]
     R = np.linalg.qr(tiny.T, mode="r")
     assert 0.0 < abs(R[2, 2]) < 1e-300
     with np.errstate(over="ignore", invalid="ignore"):
@@ -714,7 +751,7 @@ def test_moment_routes_are_counted(monkeypatch):
 
     monkeypatch.setattr(randlr.experiments, "_svd_pinv_energies", counting)
     for r, s in [(1, 2), (5, 6), (10, 21)]:
-        randlr.experiments._map_draws(r, r + s, 500, 11, moment_energies)
+        moment_samples(r, s, 500, 11)
     assert routed == []  # every Gaussian draw of these runs is certified
     r, s = 4, 3
     stack = np.concatenate([keyed_gaussian_matrices(r, r + s, derive_keys(9, 6)), uncertified_draws(r, s)])
@@ -727,7 +764,7 @@ def test_moment_routes_are_counted(monkeypatch):
 
 def test_beat_greedy_baseline_feasible():
     spec = GeneratorSpec(dims=(60, 50), kind=KIND_SIGNAL_NOISE, signal_rank=4, noise_level=0.05, seed=5)
-    F = gen_signal_plus_noise(spec)
+    F = generate(spec)
     rep = beat_baseline_experiment(F, 4, METHOD_COLUMN_SELECT, 100, master_seed=31)
     assert rep.verdict == VERDICT_SATISFIED
     assert rep.config["plan"]["feasible"]
@@ -738,7 +775,7 @@ def test_beat_greedy_baseline_feasible():
 
 def test_beat_optimal_baseline_reports_infeasible():
     spec = GeneratorSpec(dims=(40, 30), kind=KIND_SIGNAL_NOISE, signal_rank=3, noise_level=0.05, seed=8)
-    F = gen_signal_plus_noise(spec)
+    F = generate(spec)
     rep = beat_baseline_experiment(F, 3, METHOD_TRUNCATED_SVD, 50, master_seed=1)
     assert rep.verdict == VERDICT_NOT_APPLICABLE
     assert not rep.config["plan"]["feasible"]
@@ -795,7 +832,7 @@ def test_beat_truncated_svd_is_at_the_floor_however_small_the_tail(tail):
 
 
 def test_beat_truncated_svd_is_at_the_floor_at_full_rank():
-    F = gen_signal_plus_noise(
+    F = generate(
         GeneratorSpec(dims=(60, 40), kind=KIND_SIGNAL_NOISE, signal_rank=5, noise_level=0.1, seed=3)
     )
     rep = beat_baseline_experiment(F, 40, METHOD_TRUNCATED_SVD, 20, master_seed=7)
@@ -857,7 +894,7 @@ def count_calls(monkeypatch, module, name):
 
 
 def test_beat_truncated_svd_takes_one_values_only_svd(monkeypatch):
-    F = gen_signal_plus_noise(
+    F = generate(
         GeneratorSpec(dims=(40, 30), kind=KIND_SIGNAL_NOISE, signal_rank=3, noise_level=0.05, seed=8)
     )
     svds = spy_on_svd(monkeypatch)
@@ -870,7 +907,7 @@ def test_beat_truncated_svd_takes_one_values_only_svd(monkeypatch):
 
 
 def test_beat_column_select_still_builds_and_measures(monkeypatch):
-    F = gen_signal_plus_noise(
+    F = generate(
         GeneratorSpec(dims=(40, 30), kind=KIND_SIGNAL_NOISE, signal_rank=3, noise_level=0.05, seed=8)
     )
     svds = spy_on_svd(monkeypatch)

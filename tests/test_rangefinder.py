@@ -13,7 +13,6 @@ from randlr.rangefinder import (
     METHOD_RANDOMIZED,
     FactoredApproximation,
     approximation_error,
-    build_basis,
     factorize,
     load_factored,
     save_factored,
@@ -59,31 +58,6 @@ def test_sketch_of_rank_one_is_collinear():
 def test_sketch_rejects_zero_width():
     with pytest.raises(ValueError):
         sketch(np.eye(3), 0, 1)
-
-
-# --- build_basis ---------------------------------------------------------------
-
-
-def test_build_basis_of_orthonormal_is_same():
-    rng = np.random.default_rng(21)
-    Q0, _ = thin_qr(rng.standard_normal((15, 6)))
-    H = build_basis(Q0)
-    assert np.allclose(H, Q0, atol=1e-13)
-
-
-def test_build_basis_orthonormal():
-    rng = np.random.default_rng(22)
-    H = build_basis(rng.standard_normal((30, 12)))
-    assert frobenius_norm(H.T @ H - np.eye(12)) <= 1e-12
-
-
-def test_build_basis_duplicate_columns():
-    rng = np.random.default_rng(23)
-    Y = rng.standard_normal((20, 6))
-    Y[:, 4] = Y[:, 1]
-    H = build_basis(Y)
-    assert frobenius_norm(H.T @ H - np.eye(6)) <= 1e-12
-    assert frobenius_norm(Y - H @ (H.T @ Y)) <= 1e-9 * frobenius_norm(Y)
 
 
 # --- factorize -------------------------------------------------------------------
@@ -163,7 +137,7 @@ def test_factorize_basis_always_orthonormal():
 def test_error_zero_when_exactly_factored():
     rng = np.random.default_rng(50)
     F = rng.standard_normal((14, 10))
-    H = build_basis(F)  # spans the full range
+    H = thin_qr(F)[0]  # spans the full range
     fa = FactoredApproximation(H, H.T @ F, target_rank=5, oversampling=5, seed=0, method="randomized")
     assert approximation_error(F, fa) <= 1e-12 * frobenius_norm(F)
 
@@ -276,7 +250,7 @@ def test_error_non_increasing_in_oversampling():
     vals = tuple(0.6**i for i in range(1, 16))
     left = gaussian_matrix(40, 15, derive_seed(1000, 0))
     right = gaussian_matrix(30, 15, derive_seed(1000, 1))
-    F = (build_basis(left) * vals) @ build_basis(right).T
+    F = (thin_qr(left)[0] * vals) @ thin_qr(right)[0].T
     r, s, trials = 4, 3, 200
 
     def mean_and_se(s_val):
