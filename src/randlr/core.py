@@ -43,6 +43,7 @@ __all__ = [
     "frobenius_norm",
     "check_seed",
     "check_rank",
+    "check_trials",
     "derive_seed",
     "derive_keys",
     "gaussian_matrix",
@@ -86,29 +87,36 @@ def frobenius_norm(M: np.ndarray) -> float:
     return math.sqrt(np.einsum("i,i->", v, v))
 
 
-def _check_int(value, name: str) -> None:
-    """Reject anything but a Python or numpy integer: ``int()`` reads 2.7 as 2 and True as 1."""
+def _check_int(value, name: str, least: int = 0, most: int | None = None) -> None:
+    """The one rule for integer arguments: a Python or numpy integer, not a
+    bool, in ``[least, most]``.  ``int()`` reads 2.7 as 2 and True as 1."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        rule = "a non-negative integer" if least == 0 else f"at least {least}"
+        raise ValueError(f"{name} must be {rule}, got {value}")
+    if most is not None and value > most:
+        raise ValueError(f"{name} must be at most {most}, got {value}")
 
 
-def _dims(dims, name: str = "dimensions") -> tuple[int, int]:
+def _dims(dims, name: str) -> tuple[int, int]:
     """``dims`` as two Python ints; anything but two positive integers is a ValueError."""
     if len(dims) != 2:
         raise ValueError(f"{name} must be two integers, got {dims}")
     for d in dims:
-        _check_int(d, name)
-    if dims[0] < 1 or dims[1] < 1:
-        raise ValueError(f"{name} must be positive, got {dims[0]}x{dims[1]}")
+        _check_int(d, name, 1)
     return int(dims[0]), int(dims[1])
 
 
-def check_seed(seed, name: str = "seed") -> None:
+def _exact_fallback(r: int, s: int, dims) -> bool:
+    """Whether r + s sketch columns reach min(dims), so factorizing takes an exact basis instead."""
+    return bool(r + s >= min(dims))
+
+
+def check_seed(seed: int, name: str = "seed") -> None:
     """Reject a seed that is not a non-negative integer before any work: like
     numpy's SeedSequence, randlr seeds with non-negative integers only."""
     _check_int(seed, name)
-    if seed < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {seed}")
 
 
 def check_rank(r: int, shape, name: str = "rank") -> None:
@@ -116,6 +124,17 @@ def check_rank(r: int, shape, name: str = "rank") -> None:
     _check_int(r, name)
     if r < 1 or r > min(shape):
         raise ValueError(f"{name} {r} out of range for {shape[0]}x{shape[1]}")
+
+
+#: Trial indices must fit in one uint32 spawn word for :func:`derive_keys`.
+MAX_TRIALS = 1 << 32
+
+
+def check_trials(trials: int, least: int = 1) -> None:
+    """Reject a trial count that is not an integer in ``least <= trials <= 2**32``."""
+    _check_int(trials, "trials", least)
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trials must be at most 2**32, got {trials}")
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of four
@@ -179,22 +198,17 @@ def derive_seed(master_seed: int, index: int) -> int:
 #: from it, recorded in reports; it changes whenever the drawn numbers do.
 SEED_MIX = "seedsequence-spawn/v2"
 
-#: Trial indices must fit in one uint32 spawn word for :func:`derive_keys`.
-MAX_TRIALS = 1 << 32
-
-
-def derive_keys(master_seed: int, count: int) -> np.ndarray:
-    """Philox keys of the streams ``derive_seed(master_seed, i)``, i < count.
+def derive_keys(master_seed: int, trials: int) -> np.ndarray:
+    """Philox keys of the streams ``derive_seed(master_seed, i)``, i < trials.
 
     Row i is ``SeedSequence(derive_seed(master_seed, i)).generate_state(2,
     np.uint64)``, bit for bit, computed for all indices in one pass over
     uint32 arrays, whose wrap-around arithmetic is the hash's modulo 2**32.
     numpy hashes the master seed; only the index word and what it touches
     run on the arrays.  A pool word's updates of the other three are
-    independent of each other, so they run as one (3, count) operation.
+    independent of each other, so they run as one (3, trials) operation.
     """
-    if count > MAX_TRIALS:
-        raise ValueError(f"trials must be at most 2**32, got {count}")
+    check_trials(trials, 0)
     check_seed(master_seed)
     master_seed = int(master_seed)
     # With a spawn key, numpy pads the master's words to the pool size, so
@@ -203,10 +217,10 @@ def derive_keys(master_seed: int, count: int) -> np.ndarray:
     # read only pool words 0 and 1.
     pool01 = np.random.SeedSequence(master_seed).pool[:2, None]
     hashed = _POOL_SIZE * max(_POOL_SIZE, (master_seed.bit_length() + 31) // 32)
-    index = np.arange(count, dtype=np.uint32)
+    index = np.arange(trials, dtype=np.uint32)
     mixed = _mix(pool01, _hashmix(index, *_pairs(_INIT_A, _MULT_A, hashed, 2)))
     # derive_seed's low and high words, then two zero words, fill the key's pool
-    seed_words = np.zeros((_POOL_SIZE, count), dtype=np.uint32)
+    seed_words = np.zeros((_POOL_SIZE, trials), dtype=np.uint32)
     seed_words[:2] = _hashmix(mixed, *_KEY_OUT[:, :2])
     key_pool = _hashmix(seed_words, *_KEY_FILL)
     for src, dsts in enumerate(_OTHERS):
@@ -226,7 +240,7 @@ def keyed_gaussian_matrices(rows: int, cols: int, keys) -> np.ndarray:
     column.  Matrix j is therefore :func:`gaussian_matrix` of that seed, bit
     for bit, and depends on ``keys[j]`` alone.
     """
-    _dims((rows, cols))
+    _dims((rows, cols), "rows and cols")
     z = np.empty((len(keys), cols, rows))
     bits = np.random.Philox(0)  # any key: each draw below sets its own
     normal = np.random.Generator(bits)
@@ -249,7 +263,7 @@ def gaussian_matrix(rows: int, cols: int, seed: int) -> np.ndarray:
     """Matrix with i.i.d. standard normal entries, reproducible per seed:
     numpy's ``standard_normal`` from ``Philox(SeedSequence(seed))``, filled
     column by column."""
-    _dims((rows, cols))
+    _dims((rows, cols), "rows and cols")
     check_seed(seed)
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
     return gen.standard_normal((cols, rows)).T

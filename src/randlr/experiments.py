@@ -15,15 +15,17 @@ import numpy as np
 
 from .baselines import column_select
 from .core import (
-    MAX_TRIALS,
     RANK_TOL,
     SEED_MIX,
     SingularSpectrum,
+    _check_int,
     _dims,
+    _exact_fallback,
     _kept,
     _tall_r_factor,
     check_rank,
     check_seed,
+    check_trials,
     derive_keys,
     derive_seed,
     gaussian_matrix,
@@ -36,6 +38,7 @@ from .planner import (
     MODE_SQUARED,
     MODES,
     _is_dust,
+    check_nonnegative,
     effective_tail_energy,
     expected_error_bound,
     plan,
@@ -109,15 +112,13 @@ class GeneratorSpec:
         if self.spectrum is not None:
             object.__setattr__(self, "spectrum", tuple(float(v) for v in self.spectrum))
         check_seed(self.seed)
-        r, noise = self.signal_rank, self.noise_level
         if self.kind == KIND_PRESCRIBED:
             if not self.spectrum:
                 raise ValueError("prescribed-spectrum generator needs a non-empty spectrum")
             SingularSpectrum(self.spectrum, self.dims)
         else:
-            check_rank(r, self.dims, "signal rank")
-            if noise is None or noise < 0.0 or not math.isfinite(noise):
-                raise ValueError(f"noise level must be finite and non-negative, got {noise}")
+            check_rank(self.signal_rank, self.dims, "signal rank")
+            check_nonnegative(self.noise_level, "noise level")
 
     def to_dict(self) -> dict:
         return _fields_dict(self)
@@ -249,7 +250,7 @@ def _run_trials(F, r, s, trials, master_seed, workers=1) -> np.ndarray:
     along rows, never through a matrix-vector product (BLAS may block that
     by the chunk's length).
     """
-    if r + s >= min(F.shape):
+    if _exact_fallback(r, s, F.shape):
         # The exact fallback ignores its seed; one evaluation serves all trials.
         err = approximation_error(F, factorize(F, r, s, master_seed))
         return np.full(trials, err)
@@ -288,10 +289,7 @@ def _prepare(kind, F, r, trials, seed, mode) -> tuple[np.ndarray, SingularSpectr
     ``tail_energy`` is tau (:func:`effective_tail_energy`).
     """
     check_rank(r, F.shape, "target rank")
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
-    if trials > MAX_TRIALS:
-        raise ValueError(f"trials must be at most 2**32, got {trials}")
+    check_trials(trials)
     check_seed(seed)
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -364,10 +362,8 @@ def monte_carlo(
     trial chunks; the report does not depend on their number.  The
     spectrum and the trials work on the reduction of :func:`_prepare`.
     """
-    if workers < 1:
-        raise ValueError(f"need at least one worker, got {workers}")
-    if s < 2:
-        raise ValueError(f"oversampling must be at least 2, got {s}")
+    _check_int(workers, "workers", 1)
+    _check_int(s, "oversampling", 2)
     reduced, spectrum, config = _prepare("bench", F, r, trials, master_seed, mode)
     bound = expected_error_bound(r, s, config["tail_energy"])
     # The verdict checks the bound on the raw tail: a tail the snap to 0
@@ -380,7 +376,7 @@ def monte_carlo(
     if mode == MODE_SQUARED:
         meas_floor **= 2
     errors = _run_trials(reduced, r, s, trials, master_seed, workers)
-    config.update(oversampling=int(s), fallback=bool(r + s >= min(F.shape)))
+    config.update(oversampling=int(s), fallback=_exact_fallback(r, s, F.shape))
     return _trial_report(
         config, errors, mode, bound, None, lambda mean, se: mean <= raw_bound + 3.0 * se + meas_floor
     )
@@ -474,15 +470,12 @@ def verify_gaussian_pinv_moment(r: int, s: int, trials: int, master_seed: int) -
     r/(s-1).  One draw may hold at most ``MAX_DRAW_ENTRIES`` entries; a
     larger one is a ValueError before any key is derived or draw made.
     """
-    if r < 1:
-        raise ValueError(f"rank must be positive, got {r}")
-    if s < 2:
-        raise ValueError(f"oversampling must be at least 2, got {s}")
-    if trials < 2:
-        raise ValueError(f"need at least two trials for a standard error, got {trials}")
+    _check_int(r, "rank", 1)
+    _check_int(s, "oversampling", 2)
+    check_trials(trials, 2)  # two for a standard error
+    check_seed(master_seed)
     if r * (r + s) > MAX_DRAW_ENTRIES:
         raise ValueError(f"one {r}x{r + s} draw has {r * (r + s)} entries, more than 2**27")
-    # derive_keys rejects a negative seed and more than 2**32 trials before any draw
     samples = _map_draws(r, r + s, trials, master_seed, _stack_pinv_energies)
     estimate = float(samples.mean())
     se = _std_error(samples)

@@ -23,11 +23,12 @@ quantity compared against it change.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RANK_TOL, SingularSpectrum, _sum_of_squares
+from .core import RANK_TOL, SingularSpectrum, _check_int, _exact_fallback, _sum_of_squares
 
 __all__ = [
     "MODE_SQUARED",
@@ -35,6 +36,7 @@ __all__ = [
     "MODES",
     "ApproximationPlan",
     "check_budget",
+    "check_nonnegative",
     "tail_energy",
     "effective_tail_energy",
     "expected_error_bound",
@@ -64,14 +66,20 @@ def check_budget(epsilon: float) -> None:
         raise ValueError(f"error budget must be finite, got {epsilon}")
 
 
+def check_nonnegative(value: float, name: str) -> None:
+    """The one rule for a tail energy or a noise level: a finite, non-negative
+    real number, not a bool (``True`` would read as 1.0)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+
+
 def tail_energy(spectrum, r: int) -> float:
     """Sum of squared singular values with index > r (0-based: values[r:]).
 
     Accepts a :class:`SingularSpectrum` or a plain non-increasing array.
     Zero when r reaches past the end of the spectrum.
     """
-    if r < 0:
-        raise ValueError(f"rank must be non-negative, got {r}")
+    _check_int(r, "rank")
     vals = spectrum.values if isinstance(spectrum, SingularSpectrum) else np.asarray(spectrum, dtype=np.float64)
     return _sum_of_squares(vals[r:])
 
@@ -102,12 +110,9 @@ def expected_error_bound(r: int, s: int, tau: float) -> float:
 
     Decreases strictly in s for tau > 0 and approaches tau as s grows.
     """
-    if r < 1:
-        raise ValueError(f"rank must be positive, got {r}")
-    if s < 2:
-        raise ValueError(f"oversampling must be at least 2, got {s}")
-    if tau < 0.0:
-        raise ValueError(f"tail energy must be non-negative, got {tau}")
+    _check_int(r, "rank", 1)
+    _check_int(s, "oversampling", 2)
+    check_nonnegative(tau, "tail energy")
     return (1.0 + r / (s - 1.0)) * tau
 
 
@@ -120,10 +125,8 @@ def choose_oversampling(r: int, tau: float, epsilon: float) -> int | None:
     as infeasible.  tau and epsilon only need to be in the same units, so
     the search takes no mode.
     """
-    if r < 1:
-        raise ValueError(f"rank must be positive, got {r}")
-    if not 0.0 <= tau < math.inf:
-        raise ValueError(f"tail energy must be finite and non-negative, got {tau}")
+    _check_int(r, "rank", 1)
+    check_nonnegative(tau, "tail energy")
     check_budget(epsilon)
     if epsilon <= tau:
         return None
@@ -191,8 +194,7 @@ def plan(spectrum: SingularSpectrum, r: int, epsilon: float, mode: str = MODE_SQ
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
     check_budget(epsilon)
-    if r < 1 or r > len(spectrum):
-        raise ValueError(f"rank {r} out of range for spectrum of length {len(spectrum)}")
+    _check_int(r, "rank", 1, len(spectrum))
     tau = effective_tail_energy(spectrum, r)
     floor = tau if mode == MODE_SQUARED else max(tau, math.sqrt(tau))
     s = None if epsilon <= floor * (1.0 + FLOOR_RTOL) else choose_oversampling(r, tau, epsilon)
@@ -204,7 +206,7 @@ def plan(spectrum: SingularSpectrum, r: int, epsilon: float, mode: str = MODE_SQ
         error_budget=epsilon,
         predicted_bound=expected_error_bound(r, s, tau) if feasible else None,
         mode=mode,
-        fallback=feasible and r + s >= min(spectrum.source_dims),
+        fallback=feasible and _exact_fallback(r, s, spectrum.source_dims),
         feasible=feasible,
         strictness_bumped=feasible and s > 2 and expected_error_bound(r, s - 1, tau) == epsilon,
         reason=None if feasible else INFEASIBLE_REASON,

@@ -14,7 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_rank, check_seed, frobenius_norm, gaussian_matrix, svd_factors, thin_qr
+from .core import (
+    _check_int,
+    _exact_fallback,
+    check_rank,
+    check_seed,
+    frobenius_norm,
+    gaussian_matrix,
+    svd_factors,
+    thin_qr,
+)
 from .io import _writing, read_matrix_market, write_matrix_market
 
 __all__ = [
@@ -92,6 +101,7 @@ def sketch(F: np.ndarray, width: int, seed: int) -> np.ndarray:
     G has F's column count as height and ``width`` columns, i.i.d. standard
     normal entries; the result is deterministic per seed.
     """
+    _check_int(width, "width", 1)
     return F @ gaussian_matrix(F.shape[1], width, seed)
 
 
@@ -100,15 +110,14 @@ def factorize(F: np.ndarray, r: int, s: int, seed: int) -> FactoredApproximation
 
     The basis has r + s columns and the coefficient factor is its transpose
     applied to F.  Requires s >= 2: the expected-error bound that justifies
-    the construction is undefined below that.  When r + s >= min(F.shape)
+    the construction is undefined below that.  When r + s reaches min(F.shape)
     the sketch cannot pay for itself, so a full orthonormal basis of
     range(F) is used instead and the result tagged ``exact-fallback``.
     """
     check_rank(r, F.shape, "target rank")
-    if s < 2:
-        raise ValueError(f"oversampling must be at least 2, got {s}")
+    _check_int(s, "oversampling", 2)
     check_seed(seed)
-    if r + s >= min(F.shape):
+    if _exact_fallback(r, s, F.shape):
         basis, _, _ = svd_factors(F)
         method = METHOD_EXACT_FALLBACK
     else:

@@ -1,9 +1,12 @@
 """Tests for generators, the Monte Carlo harness, and the end-to-end runs."""
 
 import concurrent.futures
+import importlib
+import inspect
 import itertools
 import math
 import os
+import re
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -11,6 +14,7 @@ import numpy as np
 import pytest
 
 import randlr.experiments
+from randlr.baselines import column_select
 from randlr.core import (
     RANK_TOL,
     SingularSpectrum,
@@ -34,7 +38,16 @@ from randlr.experiments import (
     monte_carlo,
     verify_gaussian_pinv_moment,
 )
-from randlr.planner import INFEASIBLE_REASON, MODE_LITERAL, MODES, plan, tail_energy
+from randlr.planner import (
+    INFEASIBLE_REASON,
+    MODE_LITERAL,
+    MODES,
+    choose_oversampling,
+    effective_tail_energy,
+    expected_error_bound,
+    plan,
+    tail_energy,
+)
 from randlr.rangefinder import (
     METHOD_COLUMN_SELECT,
     METHOD_TRUNCATED_SVD,
@@ -174,6 +187,15 @@ def test_generator_spec_validation():
     for noise in (-0.1, math.inf, None):
         with pytest.raises(ValueError, match="noise level must be finite and non-negative"):
             GeneratorSpec(dims=(5, 6), kind=KIND_SIGNAL_NOISE, signal_rank=5, noise_level=noise)
+
+
+@pytest.mark.parametrize("noise", [True, "0.5", math.nan, np.bool_(True)])
+def test_noise_level_must_be_a_real_number(noise):
+    # True was kept and written to JSON as true; "0.5" raised a bare TypeError
+    with pytest.raises(ValueError, match="noise level must be finite and non-negative"):
+        GeneratorSpec(dims=(5, 6), kind=KIND_SIGNAL_NOISE, signal_rank=2, noise_level=noise)
+    for ok in (0, 0.5, np.float64(0.5)):
+        assert GeneratorSpec(dims=(5, 6), kind=KIND_SIGNAL_NOISE, signal_rank=2, noise_level=ok).noise_level == ok
 
 
 @pytest.mark.parametrize("dims", [(3, 4, 5), (4,), (4, 4.7), (4.0, 4), (True, 3), (np.float64(5.0), 5)])
@@ -521,6 +543,102 @@ def test_forbid_decomposition_stops_the_r_factor_route(monkeypatch):
     forbid_decomposition(monkeypatch)
     with pytest.raises(AssertionError, match="decomposed before validation"):
         randlr.core._tall_r_factor(np.ones((3000, 40)))
+
+
+DIAG = np.diag(np.arange(20.0, 0.0, -1.0))
+DIAG_SPECTRUM = SingularSpectrum(np.arange(20.0, 0.0, -1.0), (20, 20))
+RANK_RANGE, S_RANGE, TRIALS_RANGE = (0, -1, 21), (0, 1, -1), (0, -1, 2**32 + 1)
+
+# Every integer argument of a public function: (function, argument, a valid
+# value, the call with the argument set to x, the name the error starts
+# with, the integers out of its range).  It includes each probe that once
+# failed inside numpy, raised a TypeError naming no argument, or returned.
+INTEGER_ARGUMENTS = [
+    (randlr.core.check_seed, "seed", 1, lambda x: randlr.core.check_seed(x), "seed", (-1,)),
+    (randlr.core.check_rank, "r", 3, lambda x: randlr.core.check_rank(x, (20, 20)), "rank", RANK_RANGE),
+    (randlr.core.check_trials, "trials", 10, lambda x: randlr.core.check_trials(x), "trials", TRIALS_RANGE),
+    (derive_seed, "master_seed", 1, lambda x: derive_seed(x, 0), "seed", (-1,)),
+    (derive_seed, "index", 1, lambda x: derive_seed(1, x), "index", (-1,)),
+    (derive_keys, "master_seed", 1, lambda x: derive_keys(x, 3), "seed", (-1,)),
+    (derive_keys, "trials", 3, lambda x: derive_keys(1, x), "trials", (-1, 2**32 + 1)),
+    (gaussian_matrix, "rows", 3, lambda x: gaussian_matrix(x, 2, 1), "rows and cols", (0, -1)),
+    (gaussian_matrix, "cols", 2, lambda x: gaussian_matrix(3, x, 1), "rows and cols", (0, -1)),
+    (gaussian_matrix, "seed", 1, lambda x: gaussian_matrix(3, 2, x), "seed", (-1,)),
+    (keyed_gaussian_matrices, "rows", 3, lambda x: keyed_gaussian_matrices(x, 2, [[1, 2]]), "rows and cols", (0, -1)),
+    (keyed_gaussian_matrices, "cols", 2, lambda x: keyed_gaussian_matrices(3, x, [[1, 2]]), "rows and cols", (0, -1)),
+    (SingularSpectrum, "source_dims", 20, lambda x: SingularSpectrum([1.0], (x, 20)), "source_dims", (0, -1)),
+    (sketch, "width", 4, lambda x: sketch(DIAG, x, 1), "width", (0, -1)),
+    (sketch, "seed", 1, lambda x: sketch(DIAG, 4, x), "seed", (-1,)),
+    (factorize, "r", 3, lambda x: factorize(DIAG, x, 3, 1), "target rank", RANK_RANGE),
+    (factorize, "s", 3, lambda x: factorize(DIAG, 3, x, 1), "oversampling", S_RANGE),
+    (factorize, "seed", 1, lambda x: factorize(DIAG, 3, 3, x), "seed", (-1,)),
+    (tail_energy, "r", 3, lambda x: tail_energy(DIAG_SPECTRUM, x), "rank", (-1,)),
+    (effective_tail_energy, "r", 3, lambda x: effective_tail_energy(DIAG_SPECTRUM, x), "rank", (-1,)),
+    (expected_error_bound, "r", 3, lambda x: expected_error_bound(x, 3, 1.0), "rank", (0, -1)),
+    (expected_error_bound, "s", 3, lambda x: expected_error_bound(3, x, 1.0), "oversampling", S_RANGE),
+    (choose_oversampling, "r", 3, lambda x: choose_oversampling(x, 1.0, 5.0), "rank", (0, -1)),
+    (plan, "r", 3, lambda x: plan(DIAG_SPECTRUM, x, 500.0), "rank", RANK_RANGE),
+    (column_select, "r", 3, lambda x: column_select(DIAG, x), "rank", RANK_RANGE),
+    (GeneratorSpec, "dims", 5, lambda x: GeneratorSpec((x, 6), KIND_SIGNAL_NOISE, signal_rank=2, noise_level=0.1),
+     "dims", (0, -1)),
+    (GeneratorSpec, "signal_rank", 2, lambda x: GeneratorSpec((5, 6), KIND_SIGNAL_NOISE, signal_rank=x,
+                                                              noise_level=0.1), "signal rank", (0, -1, 6)),
+    (GeneratorSpec, "seed", 0, lambda x: GeneratorSpec((5, 6), KIND_PRESCRIBED, spectrum=(1.0,), seed=x),
+     "seed", (-1,)),
+    (monte_carlo, "r", 3, lambda x: monte_carlo(DIAG, x, 3, 10, 1), "target rank", RANK_RANGE),
+    (monte_carlo, "s", 3, lambda x: monte_carlo(DIAG, 3, x, 10, 1), "oversampling", S_RANGE),
+    (monte_carlo, "trials", 10, lambda x: monte_carlo(DIAG, 3, 3, x, 1), "trials", TRIALS_RANGE),
+    (monte_carlo, "master_seed", 1, lambda x: monte_carlo(DIAG, 3, 3, 10, x), "seed", (-1,)),
+    (monte_carlo, "workers", 2, lambda x: monte_carlo(DIAG, 3, 3, 10, 1, workers=x), "workers", (0, -1)),
+    (verify_gaussian_pinv_moment, "r", 2, lambda x: verify_gaussian_pinv_moment(x, 3, 10, 1), "rank", (0, -1)),
+    (verify_gaussian_pinv_moment, "s", 3, lambda x: verify_gaussian_pinv_moment(2, x, 10, 1), "oversampling", S_RANGE),
+    (verify_gaussian_pinv_moment, "trials", 10, lambda x: verify_gaussian_pinv_moment(2, 3, x, 1), "trials",
+     (0, 1, -1, 2**32 + 1)),
+    (verify_gaussian_pinv_moment, "master_seed", 1, lambda x: verify_gaussian_pinv_moment(2, 3, 10, x), "seed",
+     (-1,)),
+    (beat_baseline_experiment, "r", 3, lambda x: beat_baseline_experiment(DIAG, x, METHOD_COLUMN_SELECT, 10, 1),
+     "target rank", RANK_RANGE),
+    (beat_baseline_experiment, "trials", 10,
+     lambda x: beat_baseline_experiment(DIAG, 3, METHOD_COLUMN_SELECT, x, 1), "trials", TRIALS_RANGE),
+    (beat_baseline_experiment, "master_seed", 1,
+     lambda x: beat_baseline_experiment(DIAG, 3, METHOD_COLUMN_SELECT, 10, x), "seed", (-1,)),
+]
+
+# Reports the package builds from arguments it has already checked.
+REPORTS = {"ApproximationPlan", "FactoredApproximation", "MomentCheck"}
+
+
+def public_integer_arguments() -> set:
+    """(function, argument) for each argument annotated as an integer, or a
+    tuple of them, of every callable in the package's and each module's
+    ``__all__``."""
+    found = set()
+    for module in [randlr] + [importlib.import_module(f"randlr.{layer}") for layer in
+                              ("core", "rangefinder", "planner", "baselines", "experiments", "io", "cli")]:
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if not callable(obj) or name in REPORTS:
+                continue
+            for param in inspect.signature(obj).parameters.values():
+                # check_trials' least is the bound of its rule, which the package sets
+                if re.search(r"\bint\b", str(param.annotation)) and (name, param.name) != ("check_trials", "least"):
+                    found.add((obj, param.name))
+    return found
+
+
+def test_integer_argument_table_covers_every_public_function():
+    assert {(fn, arg) for fn, arg, *_ in INTEGER_ARGUMENTS} == public_integer_arguments()
+
+
+@pytest.mark.parametrize("fn,arg,valid,call,label,out_of_range", INTEGER_ARGUMENTS,
+                         ids=[f"{fn.__name__}-{arg}" for fn, arg, *_ in INTEGER_ARGUMENTS])
+def test_integer_argument_is_checked_by_name_before_any_work(monkeypatch, fn, arg, valid, call, label,
+                                                             out_of_range):
+    call(np.int64(valid))
+    forbid_decomposition(monkeypatch)
+    for bad in (2.5, True, np.float64(3), *out_of_range):
+        with pytest.raises(ValueError, match=f"^{label} "):
+            call(bad)
 
 
 def test_tall_reports_equal_the_direct_svd_route(monkeypatch):

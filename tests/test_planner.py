@@ -65,6 +65,13 @@ def test_bound_validates_arguments():
         expected_error_bound(3, 3, -1.0)
 
 
+@pytest.mark.parametrize("tau", [math.nan, math.inf, True, "1.0"])
+def test_bound_rejects_a_tail_that_is_not_a_finite_real(tau):
+    # a NaN or infinite tail gave a NaN or infinite bound, True a bound on tau = 1
+    with pytest.raises(ValueError, match="tail energy must be finite and non-negative"):
+        expected_error_bound(3, 3, tau)
+
+
 # --- choose_oversampling ------------------------------------------------------
 
 
@@ -110,6 +117,13 @@ def test_choose_validates():
     for tau, epsilon in ((float("nan"), 2.0), (float("inf"), float("inf")), (1.0, float("nan"))):
         with pytest.raises(ValueError):
             choose_oversampling(2, tau, epsilon)
+
+
+@pytest.mark.parametrize("tau", [True, "1.0", np.bool_(False)])
+def test_choose_rejects_a_tail_that_is_not_a_real(tau):
+    # True searched against tau = 1 and returned an oversampling
+    with pytest.raises(ValueError, match="tail energy must be finite and non-negative"):
+        choose_oversampling(2, tau, 2.0)
 
 
 def test_infinite_budget_is_rejected():
