@@ -56,7 +56,7 @@ def column_select(F: np.ndarray, r: int) -> FactoredApproximation:
     cancellation and is recomputed (Drmač and Bujanović, SIMAX 29(4),
     2008).  A column whose squared norm overflows float64 is a ValueError.
     """
-    check_rank(r, F.shape)
+    r = check_rank(r, F.shape)
     basis, _ = thin_qr(F[:, _greedy_picks(F, r)])
     return FactoredApproximation(
         basis=basis,

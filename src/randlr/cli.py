@@ -27,7 +27,7 @@ from .experiments import (
     verify_gaussian_pinv_moment,
 )
 from .io import read_matrix, write_matrix
-from .planner import MODE_SQUARED, MODES, check_budget, plan
+from .planner import MODE_SQUARED, MODES, check_budget, check_nonnegative, plan
 from .rangefinder import METHOD_COLUMN_SELECT, METHOD_TRUNCATED_SVD, factorize, save_factored
 
 __all__ = ["main"]
@@ -62,12 +62,8 @@ def _load_spectrum_or_matrix(path: str) -> SingularSpectrum:
         with open(path) as fh:
             try:
                 data = json.load(fh)
-                if any(type(v) not in (int, float) for v in data["values"]):  # asarray reads "2" and true as numbers
-                    raise TypeError(f"values must be numbers, got {data['values']}")
-                return SingularSpectrum(
-                    values=np.asarray(data["values"], dtype=np.float64),
-                    source_dims=data["source_dims"],
-                )
+                values = [check_nonnegative(v, "singular value") for v in data["values"]]  # asarray reads "2" as 2.0
+                return SingularSpectrum(values=np.asarray(values), source_dims=data["source_dims"])
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(
                     f"{path} is not a spectrum file ({type(exc).__name__}: {exc}); expected "

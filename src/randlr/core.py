@@ -87,9 +87,9 @@ def frobenius_norm(M: np.ndarray) -> float:
     return math.sqrt(np.einsum("i,i->", v, v))
 
 
-def _check_int(value, name: str, least: int = 0, most: int | None = None) -> None:
-    """The one rule for integer arguments: a Python or numpy integer, not a
-    bool, in ``[least, most]``.  ``int()`` reads 2.7 as 2 and True as 1."""
+def _check_int(value, name: str, least: int = 0, most: int | None = None) -> int:
+    """The one rule for integer arguments: a Python or numpy integer, not a bool,
+    in ``[least, most]``, returned as a Python int (``int()`` alone reads 2.7 as 2)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
@@ -97,44 +97,52 @@ def _check_int(value, name: str, least: int = 0, most: int | None = None) -> Non
         raise ValueError(f"{name} must be {rule}, got {value}")
     if most is not None and value > most:
         raise ValueError(f"{name} must be at most {most}, got {value}")
+    return int(value)  # JSON-safe, and its arithmetic never wraps
 
 
 def _dims(dims, name: str) -> tuple[int, int]:
     """``dims`` as two Python ints; anything but two positive integers is a ValueError."""
     if len(dims) != 2:
         raise ValueError(f"{name} must be two integers, got {dims}")
-    for d in dims:
-        _check_int(d, name, 1)
-    return int(dims[0]), int(dims[1])
+    return _check_int(dims[0], name, 1), _check_int(dims[1], name, 1)
+
+
+def _check_choice(value, name: str, choices: tuple):
+    """The one rule for a tag argument (a mode, a method, a kind): one of ``choices``."""
+    if value not in choices:
+        raise ValueError(f"unknown {name} {value!r}, expected one of {choices}")
+    return value
 
 
 def _exact_fallback(r: int, s: int, dims) -> bool:
     """Whether r + s sketch columns reach min(dims), so factorizing takes an exact basis instead."""
-    return bool(r + s >= min(dims))
+    return r + s >= min(dims)
 
 
-def check_seed(seed: int, name: str = "seed") -> None:
-    """Reject a seed that is not a non-negative integer before any work: like
-    numpy's SeedSequence, randlr seeds with non-negative integers only."""
-    _check_int(seed, name)
+def check_seed(seed: int, name: str = "seed") -> int:
+    """The seed as a Python int, if a non-negative integer; else a ValueError:
+    like numpy's SeedSequence, randlr seeds with non-negative integers only."""
+    return _check_int(seed, name)
 
 
-def check_rank(r: int, shape, name: str = "rank") -> None:
-    """Reject a rank that is not an integer in ``1 <= r <= min(shape)``."""
-    _check_int(r, name)
+def check_rank(r: int, shape, name: str = "rank") -> int:
+    """The rank as a Python int, if an integer in ``1 <= r <= min(shape)``; else a ValueError."""
+    r = _check_int(r, name)
     if r < 1 or r > min(shape):
         raise ValueError(f"{name} {r} out of range for {shape[0]}x{shape[1]}")
+    return r
 
 
 #: Trial indices must fit in one uint32 spawn word for :func:`derive_keys`.
 MAX_TRIALS = 1 << 32
 
 
-def check_trials(trials: int, least: int = 1) -> None:
-    """Reject a trial count that is not an integer in ``least <= trials <= 2**32``."""
-    _check_int(trials, "trials", least)
+def check_trials(trials: int, least: int = 1) -> int:
+    """The trial count as a Python int, if an integer in ``least <= trials <= 2**32``; else a ValueError."""
+    trials = _check_int(trials, "trials", least)
     if trials > MAX_TRIALS:
         raise ValueError(f"trials must be at most 2**32, got {trials}")
+    return trials
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of four
@@ -188,9 +196,8 @@ def derive_seed(master_seed: int, index: int) -> int:
     itself.  Serial and parallel schedules that agree on indices therefore
     agree on streams.
     """
-    check_seed(index, "index")
-    check_seed(master_seed)
-    seq = np.random.SeedSequence(int(master_seed), spawn_key=(int(index),))
+    index = check_seed(index, "index")
+    seq = np.random.SeedSequence(check_seed(master_seed), spawn_key=(index,))
     return int(seq.generate_state(1, np.uint64)[0])
 
 
@@ -208,9 +215,8 @@ def derive_keys(master_seed: int, trials: int) -> np.ndarray:
     run on the arrays.  A pool word's updates of the other three are
     independent of each other, so they run as one (3, trials) operation.
     """
-    check_trials(trials, 0)
-    check_seed(master_seed)
-    master_seed = int(master_seed)
+    trials = check_trials(trials, 0)
+    master_seed = check_seed(master_seed)
     # With a spawn key, numpy pads the master's words to the pool size, so
     # the index word meets the master's own pool, after one hashmix per pool
     # word for each padded master word.  derive_seed's two output words
@@ -240,7 +246,7 @@ def keyed_gaussian_matrices(rows: int, cols: int, keys) -> np.ndarray:
     column.  Matrix j is therefore :func:`gaussian_matrix` of that seed, bit
     for bit, and depends on ``keys[j]`` alone.
     """
-    _dims((rows, cols), "rows and cols")
+    rows, cols = _dims((rows, cols), "rows and cols")
     z = np.empty((len(keys), cols, rows))
     bits = np.random.Philox(0)  # any key: each draw below sets its own
     normal = np.random.Generator(bits)
@@ -263,9 +269,8 @@ def gaussian_matrix(rows: int, cols: int, seed: int) -> np.ndarray:
     """Matrix with i.i.d. standard normal entries, reproducible per seed:
     numpy's ``standard_normal`` from ``Philox(SeedSequence(seed))``, filled
     column by column."""
-    _dims((rows, cols), "rows and cols")
-    check_seed(seed)
-    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+    rows, cols = _dims((rows, cols), "rows and cols")
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(check_seed(seed))))
     return gen.standard_normal((cols, rows)).T
 
 
@@ -349,10 +354,9 @@ class SingularSpectrum:
         vals = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "source_dims", _dims(self.source_dims, "source_dims"))
-        a, b = self.source_dims
         if vals.ndim != 1:
             raise ValueError("spectrum values must be a 1-D array")
-        if len(vals) > min(a, b):
+        if len(vals) > min(self.source_dims):
             raise ValueError(f"spectrum of length {len(vals)} exceeds min{self.source_dims}")
         if len(vals) and ((vals < 0.0).any() or not np.isfinite(vals).all()):
             raise ValueError("singular values must be finite and non-negative")

@@ -18,6 +18,7 @@ from .core import (
     RANK_TOL,
     SEED_MIX,
     SingularSpectrum,
+    _check_choice,
     _check_int,
     _dims,
     _exact_fallback,
@@ -107,18 +108,17 @@ class GeneratorSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "dims", _dims(self.dims, "dims"))
-        if self.kind not in (KIND_PRESCRIBED, KIND_SIGNAL_NOISE):
-            raise ValueError(f"unknown generator kind {self.kind!r}")
+        _check_choice(self.kind, "generator kind", (KIND_PRESCRIBED, KIND_SIGNAL_NOISE))
         if self.spectrum is not None:
             object.__setattr__(self, "spectrum", tuple(float(v) for v in self.spectrum))
-        check_seed(self.seed)
+        object.__setattr__(self, "seed", check_seed(self.seed))
         if self.kind == KIND_PRESCRIBED:
             if not self.spectrum:
                 raise ValueError("prescribed-spectrum generator needs a non-empty spectrum")
             SingularSpectrum(self.spectrum, self.dims)
         else:
-            check_rank(self.signal_rank, self.dims, "signal rank")
-            check_nonnegative(self.noise_level, "noise level")
+            object.__setattr__(self, "signal_rank", check_rank(self.signal_rank, self.dims, "signal rank"))
+            object.__setattr__(self, "noise_level", check_nonnegative(self.noise_level, "noise level"))
 
     def to_dict(self) -> dict:
         return _fields_dict(self)
@@ -285,26 +285,22 @@ def _prepare(kind, F, r, trials, seed, mode) -> tuple[np.ndarray, SingularSpectr
     decomposition.  F is then reduced once: a tall F to its b x b R factor,
     whose singular values and right factor are F's bit for bit
     (:func:`randlr.core._tall_r_factor`).  The spectrum is the reduction's,
-    with F's dims.  ``config`` holds the keys both reports share, and its
-    ``tail_energy`` is tau (:func:`effective_tail_energy`).
+    with F's dims.  ``config`` holds the keys both reports share, the
+    checked arguments among them, and its ``tail_energy`` is tau
+    (:func:`effective_tail_energy`).
     """
-    check_rank(r, F.shape, "target rank")
-    check_trials(trials)
-    check_seed(seed)
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    reduced = _tall_r_factor(F)
-    spectrum = replace(singular_values(reduced), source_dims=F.shape)
     config = {
         "kind": kind,
-        "dims": [int(F.shape[0]), int(F.shape[1])],
-        "rank": int(r),
-        "trials": int(trials),
-        "master_seed": int(seed),
-        "mode": mode,
+        "dims": list(F.shape),
+        "rank": check_rank(r, F.shape, "target rank"),
+        "trials": check_trials(trials),
+        "master_seed": check_seed(seed),
+        "mode": _check_choice(mode, "mode", MODES),
         "seed_mix": SEED_MIX,
-        "tail_energy": effective_tail_energy(spectrum, r),
     }
+    reduced = _tall_r_factor(F)
+    spectrum = replace(singular_values(reduced), source_dims=F.shape)
+    config["tail_energy"] = effective_tail_energy(spectrum, config["rank"])
     return reduced, spectrum, config
 
 
@@ -362,9 +358,10 @@ def monte_carlo(
     trial chunks; the report does not depend on their number.  The
     spectrum and the trials work on the reduction of :func:`_prepare`.
     """
-    _check_int(workers, "workers", 1)
-    _check_int(s, "oversampling", 2)
+    workers = _check_int(workers, "workers", 1)
+    s = _check_int(s, "oversampling", 2)
     reduced, spectrum, config = _prepare("bench", F, r, trials, master_seed, mode)
+    r, trials, master_seed = config["rank"], config["trials"], config["master_seed"]
     bound = expected_error_bound(r, s, config["tail_energy"])
     # The verdict checks the bound on the raw tail: a tail the snap to 0
     # removed still shows in the errors, at up to sqrt(min(F.shape)) times
@@ -376,7 +373,7 @@ def monte_carlo(
     if mode == MODE_SQUARED:
         meas_floor **= 2
     errors = _run_trials(reduced, r, s, trials, master_seed, workers)
-    config.update(oversampling=int(s), fallback=_exact_fallback(r, s, F.shape))
+    config.update(oversampling=s, fallback=_exact_fallback(r, s, F.shape))
     return _trial_report(
         config, errors, mode, bound, None, lambda mean, se: mean <= raw_bound + 3.0 * se + meas_floor
     )
@@ -470,10 +467,10 @@ def verify_gaussian_pinv_moment(r: int, s: int, trials: int, master_seed: int) -
     r/(s-1).  One draw may hold at most ``MAX_DRAW_ENTRIES`` entries; a
     larger one is a ValueError before any key is derived or draw made.
     """
-    _check_int(r, "rank", 1)
-    _check_int(s, "oversampling", 2)
-    check_trials(trials, 2)  # two for a standard error
-    check_seed(master_seed)
+    r = _check_int(r, "rank", 1)
+    s = _check_int(s, "oversampling", 2)
+    trials = check_trials(trials, 2)  # two for a standard error
+    master_seed = check_seed(master_seed)
     if r * (r + s) > MAX_DRAW_ENTRIES:
         raise ValueError(f"one {r}x{r + s} draw has {r * (r + s)} entries, more than 2**27")
     samples = _map_draws(r, r + s, trials, master_seed, _stack_pinv_energies)
@@ -484,7 +481,7 @@ def verify_gaussian_pinv_moment(r: int, s: int, trials: int, master_seed: int) -
         rank=r,
         oversampling=s,
         trials=trials,
-        master_seed=int(master_seed),
+        master_seed=master_seed,
         estimate=estimate,
         std_error=se,
         expected=expected,
@@ -524,11 +521,9 @@ def beat_baseline_experiment(
     rounding, and the error is the same to rounding: ``baseline_error`` may
     differ from selection on F itself in its last digits.
     """
-    known = [METHOD_COLUMN_SELECT, METHOD_TRUNCATED_SVD]
-    if baseline not in known:
-        raise ValueError(f"unknown baseline {baseline!r}, expected one of {known}")
+    baseline = _check_choice(baseline, "baseline", (METHOD_COLUMN_SELECT, METHOD_TRUNCATED_SVD))
     reduced, spectrum, config = _prepare("beat", F, r, trials, master_seed, mode)
-    tau = config["tail_energy"]
+    r, trials, master_seed, tau = config["rank"], config["trials"], config["master_seed"], config["tail_energy"]
     if baseline == METHOD_TRUNCATED_SVD:
         base_err, on_floor = math.sqrt(tau), True
     else:
@@ -541,7 +536,7 @@ def beat_baseline_experiment(
     chosen = plan(spectrum, r, budget, mode)
     config.update(baseline=baseline, baseline_error=base_err, plan=chosen.to_dict())
     if not chosen.feasible:
-        config.update(trials=0, trials_requested=int(trials))
+        config.update(trials=0, trials_requested=trials)
         return TrialReport(config=config, per_trial_errors=(), verdict=VERDICT_NOT_APPLICABLE, epsilon=budget)
 
     config["oversampling"] = chosen.oversampling

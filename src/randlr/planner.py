@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RANK_TOL, SingularSpectrum, _check_int, _exact_fallback, _sum_of_squares
+from .core import RANK_TOL, SingularSpectrum, _check_choice, _check_int, _exact_fallback, _sum_of_squares
 
 __all__ = [
     "MODE_SQUARED",
@@ -59,18 +59,23 @@ FLOOR_RTOL = 1e-8
 INFEASIBLE_REASON = "below Eckart-Young floor"
 
 
-def check_budget(epsilon: float) -> None:
-    """An error budget must be a finite number: an infinite one is met by
-    any oversampling and cannot be written to a JSON report."""
-    if not math.isfinite(epsilon):
-        raise ValueError(f"error budget must be finite, got {epsilon}")
+def _check_real(value, name: str, least: float = -math.inf) -> float:
+    """The one rule for real arguments: a finite real number at least ``least``, not a
+    bool (``True`` would read as 1.0) nor a string, returned as a Python float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value) or value < least:
+        rule = "finite" if least == -math.inf else "finite and non-negative"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+    return float(value)
 
 
-def check_nonnegative(value: float, name: str) -> None:
-    """The one rule for a tail energy or a noise level: a finite, non-negative
-    real number, not a bool (``True`` would read as 1.0)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 <= value < math.inf:
-        raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+def check_budget(epsilon: float) -> float:
+    """An error budget: any finite real.  An infinite one is met by any s and cannot be written to JSON."""
+    return _check_real(epsilon, "error budget")
+
+
+def check_nonnegative(value: float, name: str) -> float:
+    """A tail energy or a noise level must be a finite, non-negative real."""
+    return _check_real(value, name, 0.0)
 
 
 def tail_energy(spectrum, r: int) -> float:
@@ -79,7 +84,7 @@ def tail_energy(spectrum, r: int) -> float:
     Accepts a :class:`SingularSpectrum` or a plain non-increasing array.
     Zero when r reaches past the end of the spectrum.
     """
-    _check_int(r, "rank")
+    r = _check_int(r, "rank")
     vals = spectrum.values if isinstance(spectrum, SingularSpectrum) else np.asarray(spectrum, dtype=np.float64)
     return _sum_of_squares(vals[r:])
 
@@ -105,15 +110,17 @@ def effective_tail_energy(spectrum: SingularSpectrum, r: int) -> float:
     return 0.0 if _is_dust(tau, spectrum) else tau
 
 
+def _bound(r: int, s: int, tau: float) -> float:
+    """:func:`expected_error_bound` of arguments already checked."""
+    return (1.0 + r / (s - 1.0)) * tau
+
+
 def expected_error_bound(r: int, s: int, tau: float) -> float:
     """The bound value ``(1 + r/(s-1)) * tau``.
 
     Decreases strictly in s for tau > 0 and approaches tau as s grows.
     """
-    _check_int(r, "rank", 1)
-    _check_int(s, "oversampling", 2)
-    check_nonnegative(tau, "tail energy")
-    return (1.0 + r / (s - 1.0)) * tau
+    return _bound(_check_int(r, "rank", 1), _check_int(s, "oversampling", 2), check_nonnegative(tau, "tail energy"))
 
 
 def choose_oversampling(r: int, tau: float, epsilon: float) -> int | None:
@@ -125,9 +132,9 @@ def choose_oversampling(r: int, tau: float, epsilon: float) -> int | None:
     as infeasible.  tau and epsilon only need to be in the same units, so
     the search takes no mode.
     """
-    _check_int(r, "rank", 1)
-    check_nonnegative(tau, "tail energy")
-    check_budget(epsilon)
+    r = _check_int(r, "rank", 1)
+    tau = check_nonnegative(tau, "tail energy")
+    epsilon = check_budget(epsilon)
     if epsilon <= tau:
         return None
     # The computed bound never increases with s: s - 1.0, r / x, 1 + x and
@@ -135,11 +142,11 @@ def choose_oversampling(r: int, tau: float, epsilon: float) -> int | None:
     # bisecting finds the least s.  Doubling ends once r/(s-1) < 2**-53,
     # where the computed bound equals tau, below epsilon by the check above.
     lo, hi = 1, 2
-    while expected_error_bound(r, hi, tau) >= epsilon:
+    while _bound(r, hi, tau) >= epsilon:
         lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if expected_error_bound(r, mid, tau) < epsilon:
+        if _bound(r, mid, tau) < epsilon:
             hi = mid
         else:
             lo = mid
@@ -191,10 +198,9 @@ def plan(spectrum: SingularSpectrum, r: int, epsilon: float, mode: str = MODE_SQ
     it is ``max(tau, sqrt(tau))``: no rank-r method has a plain error below
     ``sqrt(tau)``, and the bound never falls below tau.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
-    check_budget(epsilon)
-    _check_int(r, "rank", 1, len(spectrum))
+    mode = _check_choice(mode, "mode", MODES)
+    epsilon = check_budget(epsilon)
+    r = _check_int(r, "rank", 1, len(spectrum))
     tau = effective_tail_energy(spectrum, r)
     floor = tau if mode == MODE_SQUARED else max(tau, math.sqrt(tau))
     s = None if epsilon <= floor * (1.0 + FLOOR_RTOL) else choose_oversampling(r, tau, epsilon)
@@ -204,10 +210,10 @@ def plan(spectrum: SingularSpectrum, r: int, epsilon: float, mode: str = MODE_SQ
         oversampling=s,
         tail_energy=tau,
         error_budget=epsilon,
-        predicted_bound=expected_error_bound(r, s, tau) if feasible else None,
+        predicted_bound=_bound(r, s, tau) if feasible else None,
         mode=mode,
         fallback=feasible and _exact_fallback(r, s, spectrum.source_dims),
         feasible=feasible,
-        strictness_bumped=feasible and s > 2 and expected_error_bound(r, s - 1, tau) == epsilon,
+        strictness_bumped=feasible and s > 2 and _bound(r, s - 1, tau) == epsilon,
         reason=None if feasible else INFEASIBLE_REASON,
     )

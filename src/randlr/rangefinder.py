@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _check_choice,
     _check_int,
     _exact_fallback,
     check_rank,
@@ -44,12 +45,7 @@ METHOD_TRUNCATED_SVD = "truncated-svd"
 METHOD_COLUMN_SELECT = "column-select"
 METHOD_EXACT_FALLBACK = "exact-fallback"
 
-_METHODS = (
-    METHOD_RANDOMIZED,
-    METHOD_TRUNCATED_SVD,
-    METHOD_COLUMN_SELECT,
-    METHOD_EXACT_FALLBACK,
-)
+_METHODS = (METHOD_RANDOMIZED, METHOD_TRUNCATED_SVD, METHOD_COLUMN_SELECT, METHOD_EXACT_FALLBACK)
 
 _ORTHONORMALITY_TOL = 1e-10
 
@@ -72,8 +68,7 @@ class FactoredApproximation:
     method: str
 
     def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ValueError(f"unknown method tag {self.method!r}")
+        _check_choice(self.method, "method tag", _METHODS)
         if self.basis.shape[1] != self.coeffs.shape[0]:
             raise ValueError(
                 f"basis width {self.basis.shape[1]} does not match "
@@ -101,8 +96,7 @@ def sketch(F: np.ndarray, width: int, seed: int) -> np.ndarray:
     G has F's column count as height and ``width`` columns, i.i.d. standard
     normal entries; the result is deterministic per seed.
     """
-    _check_int(width, "width", 1)
-    return F @ gaussian_matrix(F.shape[1], width, seed)
+    return F @ gaussian_matrix(F.shape[1], _check_int(width, "width", 1), seed)
 
 
 def factorize(F: np.ndarray, r: int, s: int, seed: int) -> FactoredApproximation:
@@ -114,9 +108,9 @@ def factorize(F: np.ndarray, r: int, s: int, seed: int) -> FactoredApproximation
     the sketch cannot pay for itself, so a full orthonormal basis of
     range(F) is used instead and the result tagged ``exact-fallback``.
     """
-    check_rank(r, F.shape, "target rank")
-    _check_int(s, "oversampling", 2)
-    check_seed(seed)
+    r = check_rank(r, F.shape, "target rank")
+    s = _check_int(s, "oversampling", 2)
+    seed = check_seed(seed)
     if _exact_fallback(r, s, F.shape):
         basis, _, _ = svd_factors(F)
         method = METHOD_EXACT_FALLBACK
@@ -144,12 +138,10 @@ def approximation_error(F: np.ndarray, approx: FactoredApproximation) -> float:
 
 
 def save_factored(prefix, approx: FactoredApproximation) -> list[str]:
-    """Write an approximation as <prefix>_H.mtx, <prefix>_T.mtx and a JSON
-    sidecar <prefix>.json carrying the metadata.  Returns the paths."""
+    """Write <prefix>_H.mtx, <prefix>_T.mtx and a JSON sidecar <prefix>.json of
+    the metadata, encoded before any file is written.  Returns the paths."""
     prefix = str(prefix)
     paths = [prefix + "_H.mtx", prefix + "_T.mtx", prefix + ".json"]
-    write_matrix_market(paths[0], approx.basis)
-    write_matrix_market(paths[1], approx.coeffs)
     sidecar = {
         "schema_version": 1,
         "target_rank": approx.target_rank,
@@ -157,24 +149,29 @@ def save_factored(prefix, approx: FactoredApproximation) -> list[str]:
         "seed": approx.seed,
         "method": approx.method,
     }
+    text = json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
+    write_matrix_market(paths[0], approx.basis)
+    write_matrix_market(paths[1], approx.coeffs)
     with _writing(paths[2], "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
     return paths
 
 
 def load_factored(prefix) -> FactoredApproximation:
-    """Read back an approximation written by :func:`save_factored`."""
+    """Read back an approximation written by :func:`save_factored`.  A bad or
+    missing sidecar field is a ValueError naming the sidecar."""
     prefix = str(prefix)
     with open(prefix + ".json") as fh:
-        sidecar = json.load(fh)
-    if sidecar.get("schema_version") != 1:
-        raise ValueError(f"unsupported schema_version in {prefix}.json: {sidecar.get('schema_version')!r}")
-    return FactoredApproximation(
-        basis=read_matrix_market(prefix + "_H.mtx"),
-        coeffs=read_matrix_market(prefix + "_T.mtx"),
-        target_rank=int(sidecar["target_rank"]),
-        oversampling=int(sidecar["oversampling"]),
-        seed=None if sidecar["seed"] is None else int(sidecar["seed"]),
-        method=str(sidecar["method"]),
-    )
+        try:
+            sidecar = json.load(fh)
+            if sidecar.get("schema_version") != 1:
+                raise ValueError(f"unsupported schema_version {sidecar.get('schema_version')!r}")
+            fields = {
+                "target_rank": _check_int(sidecar["target_rank"], "target_rank", 1),
+                "oversampling": _check_int(sidecar["oversampling"], "oversampling"),
+                "seed": None if sidecar["seed"] is None else check_seed(sidecar["seed"]),
+                "method": _check_choice(sidecar["method"], "method tag", _METHODS),
+            }
+        except (AttributeError, KeyError, ValueError) as exc:
+            raise ValueError(f"{prefix}.json is not a sidecar of save_factored ({type(exc).__name__}: {exc})") from exc
+    return FactoredApproximation(read_matrix_market(prefix + "_H.mtx"), read_matrix_market(prefix + "_T.mtx"), **fields)

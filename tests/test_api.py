@@ -108,3 +108,42 @@ def test_only_io_opens_files_for_writing(path):
 def test_writing_open_check_sees_a_writer():
     tree = ast.parse("open(p)\nopen(p, 'rb')\nopen(p, 'w')\nopen(p, mode='ab')\nopen(p, 'r+')\n")
     assert writing_opens(tree) == ["w", "ab", "r+"]
+
+
+REPO = Path(__file__).resolve().parents[1]
+PYTHON_FILES = sorted(path for top in ("src", "tests", "demos") for path in (REPO / top).rglob("*.py"))
+PAST_PYTHON_310 = {"tomllib", "StrEnum", "ExceptionGroup", "TaskGroup", "datetime.UTC"}
+
+
+def names_past_python_310(tree: ast.Module) -> list[str]:
+    """Names in ``tree`` that Python 3.10 lacks: modules, classes and
+    attributes new in 3.11, named bare, as an attribute or in an import."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.append(f"datetime.{node.attr}" if getattr(node.value, "id", None) == "datetime" else node.attr)
+        elif isinstance(node, ast.alias):
+            names.append(node.name)
+        elif isinstance(node, ast.ImportFrom) and node.module == "datetime":
+            names += [f"datetime.{alias.name}" for alias in node.names]
+    return [name for name in names if name in PAST_PYTHON_310]
+
+
+def test_every_file_parses_and_names_only_what_python_310_has():
+    # pyproject and CI promise 3.10: its grammar must parse every file, and a
+    # 3.11 name would fail only when the line runs
+    assert len(PYTHON_FILES) > 20
+    for path in PYTHON_FILES:
+        tree = ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+        assert names_past_python_310(tree) == [], path
+
+
+def test_python_310_check_sees_newer_code():
+    tree = ast.parse("import tomllib\nfrom datetime import UTC\nx = enum.StrEnum\ny = datetime.UTC\n"
+                     "async def f():\n    async with asyncio.TaskGroup():\n        raise ExceptionGroup('', [])\n")
+    assert sorted(names_past_python_310(tree)) == ["ExceptionGroup", "StrEnum", "TaskGroup", "datetime.UTC",
+                                                   "datetime.UTC", "tomllib"]
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))

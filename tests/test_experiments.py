@@ -4,6 +4,7 @@ import concurrent.futures
 import importlib
 import inspect
 import itertools
+import json
 import math
 import os
 import re
@@ -32,6 +33,7 @@ from randlr.experiments import (
     KIND_SIGNAL_NOISE,
     VERDICT_NOT_APPLICABLE,
     VERDICT_SATISFIED,
+    VERDICT_VIOLATED,
     GeneratorSpec,
     beat_baseline_experiment,
     generate,
@@ -51,6 +53,7 @@ from randlr.planner import (
 from randlr.rangefinder import (
     METHOD_COLUMN_SELECT,
     METHOD_TRUNCATED_SVD,
+    FactoredApproximation,
     approximation_error,
     factorize,
     sketch,
@@ -216,6 +219,36 @@ def test_monte_carlo_exact_rank():
     assert max(rep.per_trial_errors) <= 1e-8 * frobenius_norm(F)
     assert rep.verdict == VERDICT_SATISFIED
     assert len(rep.per_trial_errors) == 10
+
+
+CLIFF_100 = (100.0,) * 5 + (1.0,) * 95
+
+
+def test_monte_carlo_flags_an_engine_one_column_short(monkeypatch):
+    # Errors of s - 1 columns judged against the bound at s, on a cliff where the
+    # bound is nearly tight: their mean is about 1.4 times the bound at s = 3,
+    # over 6 standard errors above it at 2,000 trials but under 30.  So a
+    # verdict hard-wired to bound-satisfied, or loosened to bound + 30 se, fails.
+    F = prescribed((100, 100), CLIFF_100, seed=2)
+    assert monte_carlo(F, 5, 3, 2000, master_seed=2).verdict == VERDICT_SATISFIED
+    run_trials = randlr.experiments._run_trials
+    monkeypatch.setattr(randlr.experiments, "_run_trials", lambda F, r, s, *rest: run_trials(F, r, s - 1, *rest))
+    short = monte_carlo(F, 5, 3, 2000, master_seed=2)
+    assert short.verdict == VERDICT_VIOLATED
+    assert (short.mean_squared_error - short.bound) / short.std_error > 6.0
+
+
+def test_monte_carlo_exact_rank_is_satisfied_at_every_scale():
+    # Bound and errors are both rounding dust on an exact-rank input.  The
+    # verdict's slack for that dust (meas_floor) is what keeps it satisfied:
+    # without it, most of this corpus reads bound-violated.
+    violated = []
+    for (dims, r), s, scale, mode in itertools.product([((30, 24), 1), ((40, 40), 3), ((24, 60), 3)], (2, 4),
+                                                       (1e-100, 1.0, 1e100), MODES):
+        F = scale * prescribed(dims, (1.0,) * r, seed=3)
+        if monte_carlo(F, r, s, 10, master_seed=7, mode=mode).verdict != VERDICT_SATISFIED:
+            violated.append((dims, r, s, scale, mode))
+    assert violated == []
 
 
 def test_monte_carlo_single_trial_deterministic():
@@ -630,11 +663,27 @@ def test_integer_argument_table_covers_every_public_function():
     assert {(fn, arg) for fn, arg, *_ in INTEGER_ARGUMENTS} == public_integer_arguments()
 
 
+def assert_holds_python_ints(result):
+    """A report's ``to_dict()`` is strict JSON, and a returned integer, a
+    factorization's integer fields and a spectrum's dims are Python ints."""
+    if hasattr(result, "to_dict"):
+        json.dumps(result.to_dict(), allow_nan=False)
+    elif isinstance(result, FactoredApproximation):
+        assert [type(result.target_rank), type(result.oversampling)] == [int, int]
+        assert result.seed is None or type(result.seed) is int
+    elif isinstance(result, SingularSpectrum):
+        assert [type(d) for d in result.source_dims] == [int, int]
+    elif isinstance(result, (int, np.integer)):
+        assert type(result) is int
+
+
 @pytest.mark.parametrize("fn,arg,valid,call,label,out_of_range", INTEGER_ARGUMENTS,
                          ids=[f"{fn.__name__}-{arg}" for fn, arg, *_ in INTEGER_ARGUMENTS])
 def test_integer_argument_is_checked_by_name_before_any_work(monkeypatch, fn, arg, valid, call, label,
                                                              out_of_range):
-    call(np.int64(valid))
+    # A numpy integer passes, and comes back as a Python int: reports that stored
+    # np.int64 could not be written as JSON
+    assert_holds_python_ints(call(np.int64(valid)))
     forbid_decomposition(monkeypatch)
     for bad in (2.5, True, np.float64(3), *out_of_range):
         with pytest.raises(ValueError, match=f"^{label} "):
@@ -720,6 +769,19 @@ def test_moment_estimates(r, s, expected):
     assert check.expected == pytest.approx(expected)
     assert check.passed
     assert abs(check.estimate - expected) <= 4.0 * check.std_error
+
+
+def test_moment_fails_draws_one_column_short(monkeypatch):
+    # The control a correct rule must reject: r x (r+s-1) draws, whose moment is
+    # r/(s-2), judged against r/(s-1).  At (8, 6) and 2,000 draws the estimate
+    # sits over 8 standard errors off but under 40, so ``passed`` hard-wired to
+    # true, or the rule loosened to 40 se, fails here.
+    assert verify_gaussian_pinv_moment(8, 6, 2000, master_seed=1).passed
+    map_draws = randlr.experiments._map_draws
+    monkeypatch.setattr(randlr.experiments, "_map_draws", lambda rows, cols, *rest: map_draws(rows, cols - 1, *rest))
+    short = verify_gaussian_pinv_moment(8, 6, 2000, master_seed=1)
+    assert not short.passed
+    assert (short.estimate - short.expected) / short.std_error > 8.0
 
 
 def test_moment_deterministic():

@@ -14,6 +14,7 @@ from randlr.planner import (
     INFEASIBLE_REASON,
     MODE_LITERAL,
     MODE_SQUARED,
+    check_budget,
     choose_oversampling,
     effective_tail_energy,
     expected_error_bound,
@@ -134,6 +135,25 @@ def test_infinite_budget_is_rejected():
             choose_oversampling(1, 5.0, epsilon)
         with pytest.raises(ValueError, match="finite"):
             plan(spec, 1, epsilon)
+
+
+@pytest.mark.parametrize("epsilon", [True, "500", np.bool_(True), math.nan, math.inf],
+                         ids=["true", "string", "numpy-bool", "nan", "inf"])
+def test_budget_must_be_a_finite_real(epsilon):
+    # True planned against epsilon 1 and was written as JSON true; "500" raised numpy's bare TypeError
+    spec = SingularSpectrum(values=np.arange(20.0, 0.0, -1.0), source_dims=(20, 20))
+    for call in (lambda: check_budget(epsilon), lambda: choose_oversampling(3, 1.0, epsilon),
+                 lambda: plan(spec, 3, epsilon)):
+        with pytest.raises(ValueError, match="^error budget must be finite"):
+            call()
+
+
+def test_budget_of_any_real_type_is_planned_as_a_float():
+    spec = SingularSpectrum(values=np.arange(20.0, 0.0, -1.0), source_dims=(20, 20))
+    reference = plan(spec, 3, 5000.0)
+    for epsilon in (5000, np.int64(5000), np.float32(5000.0), np.float64(5000.0)):
+        chosen = plan(spec, np.int64(3), epsilon)
+        assert chosen == reference and type(chosen.error_budget) is float and type(chosen.target_rank) is int
 
 
 def test_choose_monotone_in_epsilon():

@@ -1,6 +1,9 @@
 """Tests for the sketch -> basis -> factored-form pipeline."""
 
+import json
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -229,6 +232,47 @@ def test_load_rejects_unknown_schema_version(tmp_path):
     sidecar = tmp_path / "approx.json"
     sidecar.write_text(sidecar.read_text().replace('"schema_version": 1', '"schema_version": 2'))
     with pytest.raises(ValueError, match="schema_version"):
+        load_factored(prefix)
+
+
+def test_save_load_roundtrip_of_numpy_integer_arguments(tmp_path):
+    # factorize kept np.int64 fields, so save_factored wrote both matrices and
+    # then raised inside the sidecar, leaving it cut off after "target_rank":
+    F = np.random.default_rng(60).standard_normal((16, 12))
+    fa = factorize(F, np.int64(3), np.int32(3), np.uint64(321))
+    assert [type(v) for v in (fa.target_rank, fa.oversampling, fa.seed)] == [int, int, int]
+    save_factored(tmp_path / "approx", fa)
+    back = load_factored(tmp_path / "approx")
+    assert (back.target_rank, back.oversampling, back.seed, back.method) == (3, 3, 321, METHOD_RANDOMIZED)
+    assert np.array_equal(back.basis, factorize(F, 3, 3, 321).basis)
+    # metadata that JSON cannot hold is an error before any file is written
+    with pytest.raises(TypeError):
+        save_factored(tmp_path / "held", replace(fa, target_rank=np.int64(3)))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["approx.json", "approx_H.mtx", "approx_T.mtx"]
+
+
+# name -> the edited sidecar; int() read "oversampling": 2.5 as 2 and "target_rank": true as 1
+BAD_SIDECARS = {
+    "float-oversampling": lambda d: {**d, "oversampling": 2.5},
+    "bool-rank": lambda d: {**d, "target_rank": True},
+    "string-seed": lambda d: {**d, "seed": "x"},
+    "zero-rank": lambda d: {**d, "target_rank": 0},
+    "negative-oversampling": lambda d: {**d, "oversampling": -1},
+    "unknown-method": lambda d: {**d, "method": "magic"},
+    "missing-key": lambda d: {k: v for k, v in d.items() if k != "oversampling"},
+    "not-an-object": lambda d: [d],
+    "not-json": lambda d: "{",
+}
+
+
+@pytest.mark.parametrize("edit", BAD_SIDECARS.values(), ids=BAD_SIDECARS.keys())
+def test_load_rejects_a_bad_sidecar_naming_it(tmp_path, edit):
+    prefix = tmp_path / "approx"
+    save_factored(prefix, factorize(np.random.default_rng(61).standard_normal((16, 12)), 3, 3, 5))
+    sidecar = tmp_path / "approx.json"
+    edited = edit(json.loads(sidecar.read_text()))
+    sidecar.write_text(edited if isinstance(edited, str) else json.dumps(edited))
+    with pytest.raises(ValueError, match=re.escape(str(sidecar))):
         load_factored(prefix)
 
 
